@@ -23,7 +23,6 @@ from .bayesnet import (
 )
 from .citest import (
     CiBackend,
-    CiQuery,
     CiResult,
     DataBackend,
     OracleBackend,
@@ -67,7 +66,6 @@ __all__ = [
     "BayesianNetwork",
     "BaselineResult",
     "CiBackend",
-    "CiQuery",
     "CiResult",
     "ConstraintError",
     "Dag",

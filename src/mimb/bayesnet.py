@@ -4,7 +4,7 @@ ancestral sampling, and Dirichlet randomisation of manipulated variables."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,10 +18,14 @@ class Schema:
 
     names: tuple[str, ...]
     states: tuple[tuple[str, ...], ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.states):
             raise ValueError("names and states are misaligned")
+        object.__setattr__(self, "_positions", {n: i for i, n in enumerate(self.names)})
+        if len(self._positions) != len(self.names):
+            raise ValueError("duplicate variable names")
         for name, labels in zip(self.names, self.states):
             if len(labels) < 2:
                 raise ValueError(f"variable {name!r} needs at least two states")
@@ -30,8 +34,8 @@ class Schema:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def states_of(self, name: str) -> tuple[str, ...]:
@@ -46,6 +50,10 @@ class Schema:
 class Dataset:
     """Complete discrete records; cells are state indices into the schema.
 
+    ``rows`` is an int64 (n_rows, n_variables) array in column-major
+    (Fortran) order, so each variable's column is one contiguous array; any
+    other integer input is copied once on construction.
+
     ``intervention`` optionally tags which variables were manipulated when
     the dataset was generated (provenance only, never consulted by the
     discovery algorithms).
@@ -59,6 +67,9 @@ class Dataset:
         rows = np.asarray(self.rows)
         if rows.ndim != 2 or rows.shape[1] != len(self.schema.names):
             raise ValueError("rows must be a (n_rows, n_variables) array")
+        if rows.dtype.kind not in "iu":
+            raise ValueError("rows must hold integer state indices")
+        rows = np.asfortranarray(rows, dtype=np.int64)
         if rows.size:
             cards = np.asarray(self.schema.cardinalities)
             if rows.min() < 0 or (rows >= cards[None, :]).any():
@@ -341,7 +352,7 @@ def forward_sample(bn: BayesianNetwork, n_rows: int, seed) -> Dataset:
         raise ValueError("n_rows must be at least 1")
     rng = _as_generator(seed)
     n_vars = len(bn.variables)
-    rows = np.zeros((n_rows, n_vars), dtype=np.int64)
+    rows = np.zeros((n_rows, n_vars), dtype=np.int64, order="F")
     col_of = {v: i for i, v in enumerate(bn.variables)}
     for v in bn.dag.topological_order():
         table = bn.cpts[v]

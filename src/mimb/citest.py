@@ -4,6 +4,10 @@ The G-squared test is the workhorse; a d-separation oracle backend with the
 same call shape stands in for it when ideal tests are wanted. Every test,
 from either backend, is counted in a per-run ledger because the number of
 tests is itself a reported metric.
+
+``g2_test`` and ``DataBackend`` share one private kernel; the public
+``contingency_counts`` and ``g2_statistic`` compute the same statistic the
+plain way and serve as its reference.
 """
 
 from __future__ import annotations
@@ -20,14 +24,6 @@ from .graph import Dag, InterventionFamily
 
 
 @dataclass(frozen=True)
-class CiQuery:
-    x: str
-    y: str
-    z: frozenset[str]
-    dataset_index: int
-
-
-@dataclass(frozen=True)
 class CiResult:
     statistic: float
     dof: int
@@ -37,15 +33,23 @@ class CiResult:
 
 
 class TestLedger:
-    """Counts independence tests per dataset; totals are the nTest metric."""
+    """Counts independence tests per dataset; totals are the nTest metric.
 
-    __slots__ = ("counts",)
+    Every query counts, whether it was computed or answered from a
+    backend's memo; ``hits`` counts the latter per dataset.
+    """
+
+    __slots__ = ("counts", "hits")
 
     def __init__(self, n_datasets: int):
         self.counts = [0] * n_datasets
+        self.hits = [0] * n_datasets
 
     def record(self, dataset_index: int) -> None:
         self.counts[dataset_index] += 1
+
+    def record_hit(self, dataset_index: int) -> None:
+        self.hits[dataset_index] += 1
 
     @property
     def total(self) -> int:
@@ -100,7 +104,11 @@ def g2_statistic(counts: np.ndarray) -> tuple[float, int]:
 def contingency_counts(
     data: Dataset, x: str, y: str, z: Iterable[str] = ()
 ) -> np.ndarray:
-    """(rx, ry, n_z_configs) observed counts, one bincount pass."""
+    """(rx, ry, n_z_configs) observed counts, one bincount pass.
+
+    The dense table over every z-configuration, in the caller's order; the
+    reference for the kernel behind :func:`g2_test`, not used by it.
+    """
     schema = data.schema
     zs = tuple(z)
     rx = len(schema.states_of(x))
@@ -116,6 +124,85 @@ def contingency_counts(
     key = (xcol * ry + ycol) * nz + zkey
     flat = np.bincount(key, minlength=rx * ry * nz)
     return flat.reshape(rx, ry, nz)
+
+
+def _canonical(x: str, y: str, z: Iterable[str]) -> tuple[str, str, tuple[str, ...]]:
+    """The orientation every G-squared test is computed in: x < y, z sorted."""
+    zs = tuple(sorted(z))
+    if x == y or x in zs or y in zs or len(set(zs)) != len(zs):
+        raise ValueError("x, y and z must be disjoint")
+    return (x, y, zs) if x < y else (y, x, zs)
+
+
+def _relabel(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Observed configurations numbered 0..k-1 in ascending key order."""
+    observed, labels = np.unique(key, return_inverse=True)
+    return labels, int(observed.size)
+
+
+def _g2(
+    data: Dataset,
+    x: str,
+    y: str,
+    zs: tuple[str, ...],
+    alpha: float,
+    min_rows_per_cell: int,
+) -> CiResult:
+    """The G-squared test on canonical arguments (see :func:`_canonical`).
+
+    Counts one bincount over contiguous columns and reduces the statistic
+    in one masked pass; :func:`contingency_counts` and :func:`g2_statistic`
+    are the reference it agrees with. Once the z-configurations outnumber
+    the rows, only the observed ones are kept, numbered in key order, so no
+    table exceeds ``rx * ry * n_rows`` cells and no key overflows. Empty
+    strata add nothing to the statistic or the dof, so both are unchanged;
+    the size part of ``reliable`` comes from the cardinalities alone.
+    """
+    schema, rows, n = data.schema, data.rows, data.n_rows
+    states = schema.states
+    i, j = schema.index(x), schema.index(y)
+    rx, ry = len(states[i]), len(states[j])
+    n_cells = rx * ry  # of the full table, an exact Python int
+    zkey = None
+    nz = 1
+    for v in zs:
+        k = schema.index(v)
+        card = len(states[k])
+        n_cells *= card
+        if zkey is None:
+            zkey = rows[:, k].copy()
+        else:
+            if nz * card > n:
+                zkey, nz = _relabel(zkey)
+            zkey *= card
+            zkey += rows[:, k]
+        nz *= card
+    if nz > n:
+        zkey, nz = _relabel(zkey)
+
+    key = rows[:, i] * ry
+    key += rows[:, j]
+    if zkey is not None:
+        key *= nz
+        key += zkey
+    counts = np.bincount(key, minlength=rx * ry * nz).reshape(rx, ry, nz)
+
+    n_x = counts.sum(axis=1)  # (rx, nz)
+    n_y = counts.sum(axis=0)  # (ry, nz)
+    n_z = n_x.sum(axis=0)  # (nz,)
+    margins = n_x[:, None, :] * n_y[None, :, :]
+    # observed/expected = n * n_z / (n_x * n_y) where n > 0, else 1, whose
+    # log adds nothing; exact integers until the one division
+    ratio = np.divide(counts * n_z, margins, out=np.ones(counts.shape), where=counts > 0)
+    stat = max(2.0 * float(np.vdot(counts, np.log(ratio))), 0.0)
+    # per-stratum (rx' - 1)(ry' - 1) over the states seen in the stratum;
+    # an empty stratum has rx' = ry' = 0 and would add 1, so drop those
+    dof = int(np.dot((n_x > 0).sum(axis=0) - 1, (n_y > 0).sum(axis=0) - 1))
+    dof -= nz - np.count_nonzero(n_z)
+
+    reliable = n >= min_rows_per_cell * n_cells and dof > 0
+    p_value = chi_square_upper_tail(stat, dof) if dof > 0 else 1.0
+    return CiResult(stat, dof, p_value, bool(reliable and p_value > alpha), reliable)
 
 
 def g2_test(
@@ -136,22 +223,16 @@ def g2_test(
     or when the degrees of freedom degenerate to zero. Unreliable tests
     report dependence, which keeps doubtful variables in candidate sets.
 
-    An unordered conditioning set is canonicalised by sorting, so results
-    are bit-identical across processes; an explicit sequence keeps the
-    caller's order.
+    The test is always computed in one canonical order (the smaller of x
+    and y first, z sorted), so the caller's order of x and y, and of z,
+    does not change the result in any bit. The reliability rule is decided
+    from the cardinalities before counting, and counting never allocates
+    more than ``rx * ry * n_rows`` cells, however large z is.
     """
-    zs = tuple(sorted(z)) if isinstance(z, (set, frozenset)) else tuple(z)
-    if x == y or x in zs or y in zs:
-        raise ValueError("x, y and z must be disjoint")
+    x, y, zs = _canonical(x, y, z)
     if ledger is not None:
         ledger.record(dataset_index)
-    counts = contingency_counts(data, x, y, zs)
-    stat, dof = g2_statistic(counts)
-    n_cells = counts.size
-    reliable = data.n_rows >= min_rows_per_cell * n_cells and dof > 0
-    p_value = chi_square_upper_tail(stat, dof) if dof > 0 else 1.0
-    independent = bool(reliable and p_value > alpha)
-    return CiResult(stat, dof, p_value, independent, reliable)
+    return _g2(data, x, y, zs, alpha, min_rows_per_cell)
 
 
 @runtime_checkable
@@ -168,7 +249,14 @@ class CiBackend(Protocol):
 
 
 class DataBackend:
-    """G-squared tests over the datasets of a bundle."""
+    """G-squared tests over the datasets of a bundle.
+
+    Answers are memoised per backend under the canonical key (x < y, z
+    sorted, dataset), so a repeated query in either orientation is answered
+    from the memo with the result :func:`g2_test` would give. Every query
+    is still validated and recorded in the ledger first, so nTest counts
+    repeats too; ``ledger.hits`` says how many were answered from the memo.
+    """
 
     def __init__(
         self,
@@ -182,22 +270,23 @@ class DataBackend:
         self.min_rows_per_cell = min_rows_per_cell
         self.variables = bundle.schema.names
         self.ledger = TestLedger(bundle.n)
+        self._memo: dict[tuple[str, str, tuple[str, ...], int], CiResult] = {}
 
     @property
     def n_datasets(self) -> int:
         return self.bundle.n
 
     def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult:
-        return g2_test(
-            self.bundle[dataset_index],
-            x,
-            y,
-            z,
-            self.alpha,
-            min_rows_per_cell=self.min_rows_per_cell,
-            ledger=self.ledger,
-            dataset_index=dataset_index,
-        )
+        x, y, zs = _canonical(x, y, z)
+        data = self.bundle[dataset_index]
+        self.ledger.record(dataset_index)
+        key = (x, y, zs, dataset_index)
+        res = self._memo.get(key)
+        if res is None:
+            res = self._memo[key] = _g2(data, x, y, zs, self.alpha, self.min_rows_per_cell)
+        else:
+            self.ledger.record_hit(dataset_index)
+        return res
 
 
 class OracleBackend:

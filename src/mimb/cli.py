@@ -62,6 +62,28 @@ def _int_range(spec: str) -> tuple[int, int]:
     return v, v
 
 
+def _cond_size(text: str) -> int:
+    """``--max-cond``: a conditioning-set size cap, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
+def _significance(text: str) -> float:
+    """``--alpha``: a significance level strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+    return value
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     bn = _load_network(args.network)
     family = generate_intervention_family(
@@ -260,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--algo", choices=["mimb", "baseline"], default="mimb")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--max-cond", type=int, default=3)
+    p.add_argument("--alpha", type=_significance, default=0.01)
+    p.add_argument("--max-cond", type=_cond_size, default=3)
     p.add_argument("--symmetry", action="store_true")
     p.add_argument("--backend", choices=["data", "oracle"], default="data")
     p.add_argument("--out", default=None)
@@ -285,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=["zeta0", "mid", "all"], default="zeta0")
     p.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--cover-children", action="store_true")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--max-cond", type=int, default=3)
+    p.add_argument("--alpha", type=_significance, default=0.01)
+    p.add_argument("--max-cond", type=_cond_size, default=3)
     p.add_argument("--symmetry", action="store_true")
     p.add_argument("--max-targets", type=int, default=None)
     p.add_argument("--reps", type=int, default=10)

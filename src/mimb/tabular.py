@@ -170,7 +170,7 @@ def table_to_dataset(
     index = {
         c: {label: i for i, label in enumerate(state_map[c])} for c in table.columns
     }
-    rows = np.zeros((table.n_rows, len(table.columns)), dtype=np.int64)
+    rows = np.zeros((table.n_rows, len(table.columns)), dtype=np.int64, order="F")
     for j, c in enumerate(table.columns):
         lookup = index[c]
         for i, cell in enumerate(table.column(c)):

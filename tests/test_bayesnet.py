@@ -4,7 +4,9 @@ import pytest
 from mimb import (
     BayesianNetwork,
     Dag,
+    Dataset,
     ParseError,
+    Schema,
     format_network,
     forward_sample,
     g2_test,
@@ -136,6 +138,36 @@ class TestForwardSampling:
         bn = parse_network(TWO_VAR)
         with pytest.raises(ValueError):
             forward_sample(bn, 0, seed=1)
+
+    def test_rows_are_column_major(self):
+        data = forward_sample(parse_network(TWO_VAR), 100, seed=6)
+        assert data.rows.flags.f_contiguous and data.rows.dtype == np.int64
+        assert data.column("B").flags.c_contiguous
+        assert np.shares_memory(data.column("B"), data.rows)
+
+
+class TestDataset:
+    schema = Schema(("A", "B"), (("0", "1"), ("0", "1", "2")))
+
+    def test_other_integer_rows_become_int64_column_major(self):
+        rows = np.array([[0, 2], [1, 1], [0, 0]], dtype=np.int8)
+        data = Dataset(self.schema, rows)
+        assert data.rows.dtype == np.int64 and data.rows.flags.f_contiguous
+        assert (data.rows == rows).all()
+        assert list(data.column("B")) == [2, 1, 0]
+
+    def test_rejects_non_integer_rows(self):
+        with pytest.raises(ValueError, match="integer"):
+            Dataset(self.schema, np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError, match="out of range"):
+            Dataset(self.schema, np.array([[0, 3]]))
+
+    def test_schema_index(self):
+        assert [self.schema.index(n) for n in ("A", "B")] == [0, 1]
+        with pytest.raises(ValueError, match="unknown variable"):
+            self.schema.index("C")
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            Schema(("A", "A"), (("0", "1"), ("0", "1")))
 
 
 class TestManipulation:

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mimb.citest
 from mimb import (
     DataBackend,
     Dataset,
@@ -229,11 +232,15 @@ class TestG2Test:
 
     def test_rejects_overlapping_roles(self):
         rng = np.random.default_rng(7)
-        data = _binary_dataset({"X": rng.integers(0, 2, 50), "Y": rng.integers(0, 2, 50)})
+        data = _binary_dataset(
+            {"X": rng.integers(0, 2, 50), "Y": rng.integers(0, 2, 50), "Z": rng.integers(0, 2, 50)}
+        )
         with pytest.raises(ValueError):
             g2_test(data, "X", "X", ())
         with pytest.raises(ValueError):
             g2_test(data, "X", "Y", ("X",))
+        with pytest.raises(ValueError):
+            g2_test(data, "X", "Y", ("Z", "Z"))
 
     def test_contingency_counts_shape(self):
         rng = np.random.default_rng(8)
@@ -243,6 +250,162 @@ class TestG2Test:
         counts = contingency_counts(data, "X", "Y", ("Z",))
         assert counts.shape == (2, 2, 2)
         assert counts.sum() == 100
+
+
+def _random_dataset(rng, cards, n_rows) -> Dataset:
+    names = tuple(f"V{i}" for i in range(len(cards)))
+    schema = Schema(names, tuple(tuple(str(s) for s in range(c)) for c in cards))
+    rows = np.column_stack([rng.integers(0, c, n_rows) for c in cards])
+    return Dataset(schema, rows)
+
+
+def _reference(data: Dataset, x, y, z, min_rows_per_cell=5):
+    """The G-squared test from the public reference functions, dense table."""
+    counts = contingency_counts(data, x, y, z)
+    stat, dof = g2_statistic(counts)
+    return stat, dof, data.n_rows >= min_rows_per_cell * counts.size and dof > 0
+
+
+class TestKernel:
+    """``g2_test`` against ``contingency_counts`` + ``g2_statistic``."""
+
+    def test_matches_reference_in_either_order(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            cards = [int(c) for c in rng.integers(2, 5, size=int(rng.integers(2, 7)))]
+            # few rows against many z-configurations exercises the relabelled
+            # tables; many rows the dense ones
+            n_rows = int(rng.choice([1, 7, 40, 400, 3000]))
+            data = _random_dataset(rng, cards, n_rows)
+            names = list(data.schema.names)
+            rng.shuffle(names)
+            x, y, *z = names[: 2 + int(rng.integers(0, len(names) - 1))]
+            res = g2_test(data, x, y, z)
+            for a, b in ((x, y), (y, x)):
+                stat, dof, reliable = _reference(data, a, b, z)
+                assert res.dof == dof and res.reliable == reliable, trial
+                assert res.statistic == pytest.approx(stat, rel=1e-9), trial
+
+    def test_strongly_dependent_and_structured_tables(self):
+        # V1 is a function of V0 within each stratum of V2
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 3, 2000)
+        z = rng.integers(0, 2, 2000)
+        schema = Schema(("V0", "V1", "V2"), (("a", "b", "c"), ("a", "b", "c"), ("a", "b")))
+        data = Dataset(schema, np.column_stack([x, (x + z) % 3, z]))
+        res = g2_test(data, "V0", "V1", ["V2"])
+        stat, dof, reliable = _reference(data, "V0", "V1", ["V2"])
+        assert (res.dof, res.reliable) == (dof, reliable) == (8, True)
+        assert res.statistic == pytest.approx(stat, rel=1e-9)
+        assert res.p_value == 0.0 and not res.independent
+
+    @pytest.mark.parametrize("n_z", [12, 31])
+    def test_many_conditioning_variables_stay_bounded(self, n_z):
+        # the dense table would hold 16 * 4**n_z cells (over 2 GB at 12,
+        # past int64 keys at 31); only observed strata are counted
+        rng = np.random.default_rng(n_z)
+        n_rows = 100
+        data = _random_dataset(rng, [4] * (n_z + 2), n_rows)
+        x, y, *z = data.schema.names
+        tracemalloc.start()
+        try:
+            res = g2_test(data, x, y, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dozen arrays of rx * ry * n_rows int64 cells at most
+        assert peak < 12 * 16 * n_rows * 8
+        assert not res.reliable and not res.independent
+        # reference: one dense (4, 4) table per observed z-configuration
+        strata: dict[tuple, np.ndarray] = {}
+        for row in data.rows:
+            block = strata.setdefault(tuple(row[2:]), np.zeros((4, 4)))
+            block[row[0], row[1]] += 1
+        stat, dof = g2_statistic(np.stack([strata[k] for k in sorted(strata)], axis=2))
+        assert res.dof == dof
+        assert res.statistic == pytest.approx(stat, rel=1e-9)
+
+
+_cards = st.lists(st.integers(2, 4), min_size=2, max_size=6)
+
+
+@st.composite
+def _queries(draw):
+    cards = draw(_cards)
+    n_rows = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = _random_dataset(np.random.default_rng(seed), cards, n_rows)
+    names = draw(st.permutations(data.schema.names))
+    k = draw(st.integers(0, len(names) - 2))
+    return data, names[0], names[1], list(names[2 : 2 + k])
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_queries(), st.randoms(use_true_random=False))
+    def test_argument_order_is_irrelevant(self, query, rnd):
+        data, x, y, z = query
+        shuffled = list(z)
+        rnd.shuffle(shuffled)
+        assert g2_test(data, y, x, shuffled) == g2_test(data, x, y, z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_queries(), st.integers(0, 2**32 - 1))
+    def test_relabelling_states_keeps_statistic_and_dof(self, query, seed):
+        data, x, y, z = query
+        rng = np.random.default_rng(seed)
+        perms = [rng.permutation(len(s)) for s in data.schema.states]
+        relabelled = Dataset(
+            data.schema, np.column_stack([p[data.rows[:, j]] for j, p in enumerate(perms)])
+        )
+        res = g2_test(data, x, y, z)
+        other = g2_test(relabelled, x, y, z)
+        assert (other.dof, other.reliable) == (res.dof, res.reliable)
+        assert other.statistic == pytest.approx(res.statistic, rel=1e-9, abs=1e-9)
+
+
+class TestMemo:
+    def _backend(self, alarm):
+        bundle = generate_bundle(alarm, InterventionFamily([set(), {"HR"}]), 500, seed=2)
+        return DataBackend(bundle, alpha=0.05)
+
+    def test_ledger_counts_every_query_and_hits(self, alarm, monkeypatch):
+        backend = self._backend(alarm)
+        computed = []
+        kernel = mimb.citest._g2
+        monkeypatch.setattr(
+            mimb.citest, "_g2", lambda data, *a: computed.append(a) or kernel(data, *a)
+        )
+        queries = [
+            ("HR", "CO", (), 0),
+            ("CO", "HR", (), 0),  # same canonical key
+            ("HR", "CO", (), 1),  # other dataset
+            ("HR", "BP", ("CO", "TPR"), 0),
+            ("BP", "HR", ("TPR", "CO"), 0),  # same canonical key
+            ("HR", "BP", ("CO", "TPR"), 0),
+            ("HR", "BP", ("CO",), 0),
+        ]
+        results = [backend.test(*q) for q in queries]
+        ledger = backend.ledger
+        assert ledger.snapshot() == (6, 1) and ledger.total == len(queries)
+        assert ledger.hits == [3, 0]
+        assert sum(ledger.hits) + len(computed) == ledger.total
+        assert results[0] == results[1] and results[3] == results[4] == results[5]
+        data = backend.bundle[0]
+        assert results[3] == g2_test(data, "HR", "BP", ("CO", "TPR"), alpha=0.05)
+
+    def test_invalid_queries_are_rejected_before_the_memo(self, alarm):
+        backend = self._backend(alarm)
+        backend.test("HR", "CO", (), 0)
+        with pytest.raises(ValueError):
+            backend.test("HR", "HR", (), 0)
+        with pytest.raises(ValueError):
+            backend.test("HR", "CO", ("CO",), 0)
+        with pytest.raises(IndexError):
+            backend.test("HR", "CO", (), 2)
+        assert backend.ledger.total == 1 and backend.ledger.hits == [0, 0]
+        with pytest.raises(ValueError, match="unknown"):
+            backend.test("HR", "NOPE", (), 0)
 
 
 class TestBackends:

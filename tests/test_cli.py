@@ -182,6 +182,28 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-cond", -1, "must be 0 or more"),
+            ("--max-cond", "two", "expected an integer"),
+            ("--alpha", 0, "strictly between 0 and 1"),
+            ("--alpha", 1, "strictly between 0 and 1"),
+            ("--alpha", -0.5, "strictly between 0 and 1"),
+            ("--alpha", "nan", "strictly between 0 and 1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["discover", "benchmark"])
+    def test_bad_test_settings_are_input_errors(
+        self, command, flag, value, message, tmp_path, capsys
+    ):
+        source = "--manifest" if command == "discover" else "--network"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, source, tmp_path / "missing", "--target", "T", flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and message in err
+
     def test_console_script_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mimb.cli", "--help"],
