@@ -230,9 +230,10 @@ def g2_test(
     more than ``rx * ry * n_rows`` cells, however large z is.
     """
     x, y, zs = _canonical(x, y, z)
+    res = _g2(data, x, y, zs, alpha, min_rows_per_cell)
     if ledger is not None:
         ledger.record(dataset_index)
-    return _g2(data, x, y, zs, alpha, min_rows_per_cell)
+    return res
 
 
 @runtime_checkable
@@ -254,8 +255,9 @@ class DataBackend:
     Answers are memoised per backend under the canonical key (x < y, z
     sorted, dataset), so a repeated query in either orientation is answered
     from the memo with the result :func:`g2_test` would give. Every query
-    is still validated and recorded in the ledger first, so nTest counts
-    repeats too; ``ledger.hits`` says how many were answered from the memo.
+    that is answered is recorded in the ledger, so nTest counts repeats
+    too; ``ledger.hits`` says how many were answered from the memo. A query
+    that raises (an unknown name, say) is not counted.
     """
 
     def __init__(
@@ -279,13 +281,13 @@ class DataBackend:
     def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult:
         x, y, zs = _canonical(x, y, z)
         data = self.bundle[dataset_index]
-        self.ledger.record(dataset_index)
         key = (x, y, zs, dataset_index)
         res = self._memo.get(key)
         if res is None:
             res = self._memo[key] = _g2(data, x, y, zs, self.alpha, self.min_rows_per_cell)
         else:
             self.ledger.record_hit(dataset_index)
+        self.ledger.record(dataset_index)
         return res
 
 
@@ -310,8 +312,8 @@ class OracleBackend:
         return len(self.post_dags)
 
     def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult:
-        self.ledger.record(dataset_index)
         separated = self.post_dags[dataset_index].d_separated(x, y, z)
+        self.ledger.record(dataset_index)
         return CiResult(
             statistic=0.0 if separated else math.inf,
             dof=0,

@@ -12,6 +12,7 @@ from .bayesnet import (
     BayesianNetwork,
     Dataset,
     DatasetBundle,
+    _as_generator,
     forward_sample,
     randomize_manipulated_cpts,
 )
@@ -32,12 +33,6 @@ _REGIME_ALIASES = {
 
 class ConstraintError(ValueError):
     """Requested generation constraints cannot be satisfied jointly."""
-
-
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def random_dag(n_nodes: int, edge_prob: float, seed, names: Sequence[str] | None = None) -> Dag:

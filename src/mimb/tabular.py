@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -19,37 +20,63 @@ MANIFEST_NAME = "manifest.json"
 
 @dataclass(frozen=True)
 class Table:
-    """A raw CSV table; every cell is a string until discretised."""
+    """A raw CSV table held column-wise; every cell is a string until
+    discretised.
+
+    ``cells[j]`` is the tuple of labels of column ``columns[j]``, top to
+    bottom, so a column is one tuple and replacing it swaps one tuple.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    cells: tuple[tuple[str, ...], ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+        cells = tuple(tuple(c) for c in self.cells)
+        object.__setattr__(self, "cells", cells)
+        if len(cells) != len(self.columns):
+            raise ValueError(
+                f"{len(cells)} columns of cells for {len(self.columns)} column names"
+            )
+        for name, col in zip(self.columns, cells):
+            if len(col) != len(cells[0]):
+                raise ValueError(
+                    f"column {name!r} has {len(col)} cells, expected {len(cells[0])}"
+                )
+        positions: dict[str, int] = {}
+        for i, name in enumerate(self.columns):
+            positions.setdefault(name, i)  # a repeated name means its first column
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.cells[0]) if self.cells else 0
+
+    def _index(self, name: str) -> int:
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise ValueError(f"unknown column {name!r}") from None
 
     def column(self, name: str) -> tuple[str, ...]:
-        try:
-            idx = self.columns.index(name)
-        except ValueError:
-            raise ValueError(f"unknown column {name!r}") from None
-        return tuple(row[idx] for row in self.rows)
+        return self.cells[self._index(name)]
 
     def replace_column(self, name: str, cells: Iterable[str]) -> "Table":
-        idx = self.columns.index(name)
+        idx = self._index(name)
         cells = tuple(cells)
         if len(cells) != self.n_rows:
             raise ValueError("replacement column has the wrong length")
-        rows = tuple(
-            row[:idx] + (cells[i],) + row[idx + 1 :] for i, row in enumerate(self.rows)
-        )
-        return Table(self.columns, rows)
+        return Table(self.columns, self.cells[:idx] + (cells,) + self.cells[idx + 1 :])
+
+
+def _stripped(col: tuple[str, ...]) -> tuple[str, ...]:
+    """The column with surrounding whitespace removed from every cell.
+
+    Each distinct label is stripped once and every cell then refers to
+    that one string, so the per-cell strings the parser made can be freed.
+    """
+    strip = {label: label.strip() for label in set(col)}
+    return tuple(map(strip.__getitem__, col))
 
 
 def read_table(path: str | Path) -> Table:
@@ -57,17 +84,33 @@ def read_table(path: str | Path) -> Table:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = list(filter(None, reader))  # blank lines parse as []
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
-        rows = [tuple(cell.strip() for cell in row) for row in reader if row]
-    return Table(tuple(h.strip() for h in header), tuple(rows))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ValueError(f"row {i} has {len(rows[i])} cells, expected {width}")
+    cells = tuple(map(_stripped, zip(*rows))) if rows else ((),) * width
+    return Table(tuple(map(str.strip, header)), cells)
 
 
 def write_table(table: Table, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.columns)
-        writer.writerows(table.rows)
+        writer.writerows(zip(*table.cells))
+
+
+def _numeric(table: Table, name: str) -> np.ndarray:
+    """A column parsed with ``float``, as a float64 array."""
+    cells = table.column(name)
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        raise ValueError(f"column {name!r} is not numeric") from None
 
 
 def discretize(table: Table, variable: str, bins: int) -> Table:
@@ -79,16 +122,17 @@ def discretize(table: Table, variable: str, bins: int) -> Table:
     """
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    cells = table.column(variable)
-    try:
-        values = np.asarray([float(c) for c in cells])
-    except ValueError:
-        raise ValueError(f"column {variable!r} is not numeric") from None
+    values = _numeric(table, variable)
+    if not values.size:
+        raise ValueError(f"column {variable!r} has no values to bin")
     ordered = np.sort(values)
     n = len(ordered)
-    cuts = [ordered[int(np.ceil(n * i / bins)) - 1] for i in range(1, bins)]
-    labels = [f"b{int(np.sum(v > np.asarray(cuts)))}" for v in values]
-    return table.replace_column(variable, labels)
+    cuts = ordered[[int(np.ceil(n * i / bins)) - 1 for i in range(1, bins)]]
+    # the number of cuts strictly below each value; NaN is above none
+    codes = np.searchsorted(cuts, values, side="left")
+    codes[np.isnan(values)] = 0
+    labels = np.asarray([f"b{k}" for k in range(bins)], dtype=object)
+    return table.replace_column(variable, labels[codes].tolist())
 
 
 def split_mask(
@@ -97,29 +141,28 @@ def split_mask(
     *,
     threshold: float | None = None,
     label: str | None = None,
-) -> tuple[bool, ...]:
-    """Row membership of the first partition of a split.
+) -> np.ndarray:
+    """Row membership of the first partition of a split, as a bool array.
 
     With ``threshold``, rows whose (numeric) value is strictly below it;
     with ``label``, rows equal to the label.
     """
     if (threshold is None) == (label is None):
         raise ValueError("give exactly one of threshold or label")
-    cells = table.column(by)
     if threshold is not None:
-        try:
-            return tuple(float(c) < threshold for c in cells)
-        except ValueError:
-            raise ValueError(f"column {by!r} is not numeric") from None
-    return tuple(c == label for c in cells)
+        return _numeric(table, by) < threshold
+    return np.fromiter(map(label.__eq__, table.column(by)), dtype=bool, count=table.n_rows)
 
 
-def apply_mask(table: Table, mask: tuple[bool, ...], by: str) -> tuple[Table, Table]:
-    first = tuple(row for row, m in zip(table.rows, mask) if m)
-    second = tuple(row for row, m in zip(table.rows, mask) if not m)
-    if not first or not second:
+def apply_mask(table: Table, mask: np.ndarray, by: str) -> tuple[Table, Table]:
+    keep = np.asarray(mask, dtype=bool)
+    if keep.all() or not keep.any():
         raise ValueError(f"split on {by!r} leaves an empty partition")
-    return Table(table.columns, first), Table(table.columns, second)
+    first, second = keep.tolist(), (~keep).tolist()
+    return (
+        Table(table.columns, tuple(tuple(compress(c, first)) for c in table.cells)),
+        Table(table.columns, tuple(tuple(compress(c, second)) for c in table.cells)),
+    )
 
 
 def split_rows(
@@ -143,12 +186,23 @@ def split_rows(
 
 
 def dataset_to_table(dataset: Dataset) -> Table:
-    schema = dataset.schema
-    rows = tuple(
-        tuple(schema.states[j][dataset.rows[i, j]] for j in range(len(schema.names)))
-        for i in range(dataset.n_rows)
+    """Each column's labels picked by one fancy index into its states."""
+    cells = tuple(
+        tuple(np.asarray(labels, dtype=object)[dataset.rows[:, j]].tolist())
+        for j, labels in enumerate(dataset.schema.states)
     )
-    return Table(schema.names, rows)
+    return Table(dataset.schema.names, cells)
+
+
+def _encode(name: str, col: tuple[str, ...], labels: tuple[str, ...]) -> np.ndarray:
+    """State indices of a column's cells; the first label outside
+    ``labels`` is an error naming its row."""
+    lookup = {label: i for i, label in enumerate(labels)}
+    unknown = set(col) - lookup.keys()
+    if unknown:
+        i = next(i for i, cell in enumerate(col) if cell in unknown)
+        raise ValueError(f"row {i}: label {col[i]!r} not among the states of {name!r}")
+    return np.fromiter(map(lookup.__getitem__, col), dtype=np.int64, count=len(col))
 
 
 def table_to_dataset(
@@ -160,26 +214,19 @@ def table_to_dataset(
 
     Without an explicit state declaration the labels of each column are
     collected and ordered lexicographically, which keeps conversion
-    deterministic across runs.
+    deterministic across runs. With one, every column needs declared states.
     """
     if states is None:
-        state_map = {c: tuple(sorted(set(table.column(c)))) for c in table.columns}
+        labels = tuple(tuple(sorted(set(col))) for col in table.cells)
     else:
-        state_map = {c: tuple(states[c]) for c in table.columns}
-    schema = Schema(table.columns, tuple(state_map[c] for c in table.columns))
-    index = {
-        c: {label: i for i, label in enumerate(state_map[c])} for c in table.columns
-    }
-    rows = np.zeros((table.n_rows, len(table.columns)), dtype=np.int64, order="F")
-    for j, c in enumerate(table.columns):
-        lookup = index[c]
-        for i, cell in enumerate(table.column(c)):
-            try:
-                rows[i, j] = lookup[cell]
-            except KeyError:
-                raise ValueError(
-                    f"row {i}: label {cell!r} not among the states of {c!r}"
-                ) from None
+        missing = [c for c in table.columns if c not in states]
+        if missing:
+            raise ValueError(f"column {missing[0]!r} has no declared states")
+        labels = tuple(tuple(states[c]) for c in table.columns)
+    schema = Schema(table.columns, labels)
+    rows = np.empty((table.n_rows, len(table.columns)), dtype=np.int64, order="F")
+    for j, (name, col) in enumerate(zip(table.columns, table.cells)):
+        rows[:, j] = _encode(name, col, labels[j])
     return Dataset(schema, rows, intervention=intervention)
 
 
@@ -229,9 +276,35 @@ def write_bundle(
 
 
 def read_manifest(path: str | Path) -> dict:
+    """Parse a bundle manifest and check the shape of what it records.
+
+    ``datasets`` must be a list of file names; ``interventions``, when
+    present, a list of lists of variable names, one per dataset whenever
+    datasets are listed; ``network``, when present, a file name.
+    """
     manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "datasets" not in manifest or not isinstance(manifest["datasets"], list):
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("datasets"), list):
         raise ValueError(f"{path}: manifest lacks a 'datasets' list")
+    datasets = manifest["datasets"]
+    for i, name in enumerate(datasets):
+        if not isinstance(name, str):
+            raise ValueError(f"{path}: datasets[{i}] is not a file name: {name!r}")
+    interventions = manifest.get("interventions")
+    if interventions is not None:
+        if not isinstance(interventions, list) or not all(
+            isinstance(s, list) and all(isinstance(v, str) for v in s)
+            for s in interventions
+        ):
+            raise ValueError(
+                f"{path}: 'interventions' must be a list of lists of variable names"
+            )
+        if datasets and len(interventions) != len(datasets):
+            raise ValueError(
+                f"{path}: {len(interventions)} interventions for {len(datasets)} datasets"
+            )
+    network = manifest.get("network")
+    if network is not None and not isinstance(network, str):
+        raise ValueError(f"{path}: 'network' is not a file name: {network!r}")
     return manifest
 
 
@@ -255,19 +328,18 @@ def load_bundle(
             raise ValueError(f"dataset {i} columns differ from dataset 0")
     if states is None:
         states = {
-            c: tuple(sorted(set().union(*(set(t.column(c)) for t in tables))))
+            c: tuple(sorted(set().union(*(t.column(c) for t in tables))))
             for c in columns
         }
     interventions = manifest.get("interventions")
-    datasets = []
-    for i, t in enumerate(tables):
-        tag = (
-            frozenset(interventions[i])
-            if interventions is not None
-            else None
-        )
-        datasets.append(table_to_dataset(t, states, intervention=tag))
-    return DatasetBundle(datasets)
+    tags = (
+        [None] * len(tables)
+        if interventions is None
+        else [frozenset(s) for s in interventions]
+    )
+    return DatasetBundle(
+        table_to_dataset(t, states, intervention=tag) for t, tag in zip(tables, tags)
+    )
 
 
 def family_from_manifest(manifest: Mapping) -> InterventionFamily:

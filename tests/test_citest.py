@@ -19,6 +19,7 @@ from mimb import (
     g2_test,
     generate_bundle,
     parse_network,
+    trace_example,
 )
 from mimb.citest import TestLedger as Ledger
 
@@ -407,6 +408,18 @@ class TestMemo:
         with pytest.raises(ValueError, match="unknown"):
             backend.test("HR", "NOPE", (), 0)
 
+    def test_unknown_names_are_not_counted(self, alarm):
+        backend = self._backend(alarm)
+        with pytest.raises(ValueError, match="unknown variable 'NOPE'"):
+            backend.test("HR", "NOPE", (), 0)
+        with pytest.raises(ValueError, match="unknown variable 'NOPE'"):
+            backend.test("HR", "CO", ("NOPE",), 1)
+        ledger = Ledger(1)
+        with pytest.raises(ValueError, match="unknown variable 'NOPE'"):
+            g2_test(backend.bundle[0], "NOPE", "HR", ledger=ledger)
+        assert backend.ledger.total == 0 and backend.ledger.hits == [0, 0]
+        assert ledger.total == 0
+
 
 class TestBackends:
     def test_oracle_backend_post_intervention_views(self, fig1_dag):
@@ -454,6 +467,16 @@ class TestBackends:
         backend = DataBackend(bundle, alpha=0.05)
         assert backend.variables == alarm.schema.names
         assert backend.n_datasets == 1
+
+    def test_oracle_backend_does_not_count_unknown_names(self):
+        backend = OracleBackend(*trace_example())
+        with pytest.raises(ValueError, match="NOPE"):
+            backend.test("T", "NOPE", (), 0)
+        with pytest.raises(ValueError, match="NOPE"):
+            backend.test("T", "A", ("NOPE",), 1)
+        assert backend.ledger.total == 0
+        backend.test("T", "A", (), 0)
+        assert backend.ledger.snapshot()[0] == 1
 
     def test_oracle_backend_rejects_unknown_names(self, fig1_dag):
         with pytest.raises(ValueError, match="unknown"):

@@ -204,6 +204,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and message in err
 
+    @pytest.mark.parametrize(
+        "manifest, csv_header, message",
+        [
+            ({"network": "tiny.net"}, "A,T,X", "column 'X' has no declared states"),
+            ({"datasets": ["d.csv", 1]}, "A,T,B", "datasets[1] is not a file name"),
+            (
+                {"datasets": ["d.csv", "d.csv"], "interventions": [["A"]]},
+                "A,T,B",
+                "1 interventions for 2 datasets",
+            ),
+            ({"interventions": "A"}, "A,T,B", "must be a list of lists"),
+            ({"interventions": [["A"], 7]}, "A,T,B", "must be a list of lists"),
+            ({"network": 3}, "A,T,B", "'network' is not a file name"),
+            ("datasets.csv", "A,T,B", "lacks a 'datasets' list"),
+        ],
+    )
+    def test_hostile_manifests_are_input_errors(
+        self, manifest, csv_header, message, tiny_network, tmp_path, capsys
+    ):
+        (tmp_path / "d.csv").write_text(csv_header + "\na,a,a\nb,b,b\n")
+        if isinstance(manifest, dict):
+            manifest = {"datasets": ["d.csv"], **manifest}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run_cli("discover", "--manifest", path, "--target", "T") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_unparsable_csv_is_an_input_error(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text('A,T\n"a' + "x" * 200_000 + '",b\n')
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"datasets": ["d.csv"]}))
+        assert run_cli("discover", "--manifest", path, "--target", "T") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_console_script_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mimb.cli", "--help"],

@@ -1,9 +1,14 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mimb import InterventionFamily, generate_bundle, parse_network
+from mimb.bayesnet import Dataset, DatasetBundle, Schema
 from mimb.tabular import (
     Table,
     dataset_to_table,
@@ -18,6 +23,99 @@ from mimb.tabular import (
     write_table,
 )
 
+# -- the row-wise CSV path, kept as the reference for the column-wise one ----
+
+
+def _reference_dataset_to_table(dataset):
+    schema = dataset.schema
+    rows = tuple(
+        tuple(schema.states[j][dataset.rows[i, j]] for j in range(len(schema.names)))
+        for i in range(dataset.n_rows)
+    )
+    return schema.names, rows
+
+
+def _reference_write_table(columns, rows, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _reference_read_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [tuple(cell.strip() for cell in row) for row in reader if row]
+    return tuple(h.strip() for h in header), tuple(rows)
+
+
+def _reference_table_to_dataset(columns, rows, states=None, intervention=None):
+    def column(c):
+        idx = columns.index(c)
+        return tuple(row[idx] for row in rows)
+
+    if states is None:
+        state_map = {c: tuple(sorted(set(column(c)))) for c in columns}
+    else:
+        state_map = {c: tuple(states[c]) for c in columns}
+    schema = Schema(columns, tuple(state_map[c] for c in columns))
+    index = {c: {label: i for i, label in enumerate(state_map[c])} for c in columns}
+    out = np.zeros((len(rows), len(columns)), dtype=np.int64, order="F")
+    for j, c in enumerate(columns):
+        lookup = index[c]
+        for i, cell in enumerate(column(c)):
+            try:
+                out[i, j] = lookup[cell]
+            except KeyError:
+                raise ValueError(
+                    f"row {i}: label {cell!r} not among the states of {c!r}"
+                ) from None
+    return Dataset(schema, out, intervention=intervention)
+
+
+def _outcome(fn, *args):
+    """The value of a call, or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _same_dataset(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+        return
+    assert a.schema == b.schema and a.intervention == b.intervention
+    assert a.rows.dtype == np.int64 and a.rows.flags.f_contiguous
+    assert np.array_equal(a.rows, b.rows)
+
+
+# labels that need CSV quoting: commas, double quotes, inner spaces
+_LABEL = st.text(alphabet='ab,"; ', min_size=1, max_size=5).filter(
+    lambda s: s.strip() == s
+)
+
+
+@st.composite
+def small_datasets(draw, n_datasets=1):
+    names = draw(st.lists(_LABEL, min_size=1, max_size=3, unique=True))
+    states = tuple(
+        tuple(draw(st.lists(_LABEL, min_size=2, max_size=4, unique=True)))
+        for _ in names
+    )
+    schema = Schema(tuple(names), states)
+    out = []
+    for _ in range(n_datasets):
+        n_rows = draw(st.integers(1, 12))
+        rows = np.array(
+            [[draw(st.integers(0, len(s) - 1)) for s in states] for _ in range(n_rows)],
+            dtype=np.int64,
+        ).reshape(n_rows, len(names))
+        out.append(Dataset(schema, rows))
+    return out
+
+
 TINY_NET = """\
 VAR A a b
 VAR B a b
@@ -31,23 +129,40 @@ CPT B
 
 
 def numeric_table(values, name="v"):
-    return Table((name,), tuple((str(x),) for x in values))
+    return Table((name,), (tuple(str(x) for x in values),))
 
 
 class TestTable:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError, match="cells"):
             Table(("a", "b"), (("1",),))
+        with pytest.raises(ValueError, match="column 'b' has 1 cells, expected 2"):
+            Table(("a", "b"), (("1", "2"), ("3",)))
+
+    def test_ragged_csv_row_names_its_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n\n3\n")
+        with pytest.raises(ValueError, match="row 1 has 1 cells, expected 2"):
+            read_table(path)
 
     def test_unknown_column(self):
         t = Table(("a",), (("1",),))
         with pytest.raises(ValueError, match="unknown column"):
             t.column("z")
 
+    def test_columns_and_replacement(self):
+        t = Table(("x", "y"), (("1", "2"), ("a", "b")))
+        assert t.n_rows == 2 and t.column("y") == ("a", "b")
+        swapped = t.replace_column("x", ["3", "4"])
+        assert swapped.cells == (("3", "4"), ("a", "b")) and t.column("x") == ("1", "2")
+        with pytest.raises(ValueError, match="wrong length"):
+            t.replace_column("x", ["3"])
+
     def test_csv_round_trip(self, tmp_path):
-        t = Table(("x", "y"), (("1", "a"), ("2", "b")))
+        t = Table(("x", "y"), (("1", "2"), ("a", "b")))
         path = tmp_path / "t.csv"
         write_table(t, path)
+        assert path.read_bytes() == b"x,y\r\n1,a\r\n2,b\r\n"
         assert read_table(path) == t
 
 
@@ -78,6 +193,10 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="numeric"):
             discretize(Table(("v",), (("x",),)), "v", 2)
 
+    def test_rejects_empty_column(self):
+        with pytest.raises(ValueError, match="no values"):
+            discretize(Table(("v",), ((),)), "v", 2)
+
     def test_rejects_single_bin(self):
         with pytest.raises(ValueError):
             discretize(numeric_table([1, 2]), "v", 1)
@@ -85,13 +204,13 @@ class TestDiscretize:
 
 class TestSplit:
     def test_threshold_split_keeps_the_variable(self):
-        t = Table(("d", "o"), tuple((str(i), "x") for i in range(10)))
+        t = Table(("d", "o"), (tuple(str(i) for i in range(10)), ("x",) * 10))
         low, high = split_rows(t, "d", threshold=4)
         assert low.n_rows == 4 and high.n_rows == 6
         assert "d" in low.columns and "d" in high.columns
 
     def test_label_split(self):
-        t = Table(("g",), (("m",), ("f",), ("m",)))
+        t = Table(("g",), (("m", "f", "m"),))
         first, second = split_rows(t, "g", label="m")
         assert first.n_rows == 2 and second.n_rows == 1
 
@@ -119,7 +238,7 @@ class TestDatasetConversion:
         assert (back.rows == bundle[0].rows).all()
 
     def test_discovered_states_are_sorted(self):
-        t = Table(("x",), (("z",), ("a",), ("z",)))
+        t = Table(("x",), (("z", "a", "z"),))
         ds = table_to_dataset(t)
         assert ds.schema.states_of("x") == ("a", "z")
 
@@ -158,3 +277,103 @@ class TestManifests:
     def test_family_requires_recorded_interventions(self):
         with pytest.raises(ValueError, match="interventions"):
             family_from_manifest({"datasets": []})
+
+
+class TestAgainstRowWiseReference:
+    @settings(max_examples=60, deadline=None)
+    @given(small_datasets())
+    def test_csv_bytes_and_decoding_match(self, datasets):
+        (dataset,) = datasets
+        schema = dataset.schema
+        with tempfile.TemporaryDirectory() as tmp:
+            new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+            write_table(dataset_to_table(dataset), new)
+            _reference_write_table(*_reference_dataset_to_table(dataset), ref)
+            assert new.read_bytes() == ref.read_bytes()
+
+            table = read_table(new)
+            columns, rows = _reference_read_table(new)
+        assert table.columns == columns
+        assert table.cells == tuple(zip(*rows))
+
+        declared = dict(zip(schema.names, schema.states))
+        # a declaration that lacks one realised label of the first column
+        first = schema.names[0]
+        dropped = dict(declared)
+        dropped[first] = ("fresh",) + schema.states[0][1:]
+        for states in (None, declared, dropped):
+            _same_dataset(
+                _outcome(table_to_dataset, table, states),
+                _outcome(_reference_table_to_dataset, columns, rows, states),
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_read_strips_padded_cells_like_the_reference(self, data):
+        width = data.draw(st.integers(1, 3))
+        pad = st.text(alphabet=" \t", max_size=2)
+        cell = st.tuples(pad, _LABEL, pad).map("".join)
+        header = data.draw(st.lists(cell, min_size=width, max_size=width))
+        body = data.draw(
+            st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "padded.csv"
+            _reference_write_table(header, body, path)
+            table = read_table(path)
+            columns, rows = _reference_read_table(path)
+        assert table.columns == columns
+        assert table.cells == (tuple(zip(*rows)) if rows else ((),) * width)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_datasets(n_datasets=2), st.lists(_LABEL, max_size=2))
+    def test_load_bundle_matches(self, datasets, manipulated):
+        tags = [frozenset(manipulated), frozenset()]
+        bundle = DatasetBundle(
+            Dataset(d.schema, d.rows, intervention=tag) for d, tag in zip(datasets, tags)
+        )
+        declared = dict(zip(bundle.schema.names, bundle.schema.states))
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = write_bundle(bundle, tmp)
+            tables = [_reference_read_table(Path(tmp) / f"dataset_{i:02d}.csv") for i in range(2)]
+            columns = tables[0][0]
+            union = {
+                c: tuple(sorted({row[j] for _, rows in tables for row in rows}))
+                for j, c in enumerate(columns)
+            }
+            for states in (None, declared):
+                loaded = _outcome(load_bundle, manifest, states)
+                reference = _outcome(
+                    lambda: DatasetBundle(
+                        _reference_table_to_dataset(*t, states or union, intervention=tag)
+                        for t, tag in zip(tables, tags)
+                    )
+                )
+                if isinstance(loaded, str) or isinstance(reference, str):
+                    assert loaded == reference
+                    continue
+                assert loaded.interventions() == reference.interventions() == tags
+                for a, b in zip(loaded, reference):
+                    _same_dataset(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-5, 5).map(float),
+                st.floats(allow_nan=True, allow_infinity=True, width=32),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(2, 6),
+    )
+    @example([float("nan"), 1.0, 2.0, 3.0, float("-inf")], 2)
+    @example([0.5, float("nan"), float("inf"), float("nan")], 3)
+    def test_discretize_matches_the_comparison_loop(self, values, bins):
+        table = Table(("v",), (tuple(repr(v) for v in values),))
+        ordered = np.sort(np.asarray(values))
+        n = len(ordered)
+        cuts = np.asarray([ordered[int(np.ceil(n * i / bins)) - 1] for i in range(1, bins)])
+        expected = tuple(f"b{int(np.sum(v > cuts))}" for v in values)
+        assert discretize(table, "v", bins).column("v") == expected
