@@ -32,7 +32,7 @@ from .citest import (
     g2_statistic,
     g2_test,
 )
-from .discovery import DiscoveryResult, MipcResult, mimb, mipc, trace_example
+from .discovery import DiscoveryResult, mimb, mipc, trace_example
 from .graph import (
     Dag,
     InterventionFamily,
@@ -76,7 +76,6 @@ __all__ = [
     "EvalReport",
     "FuzzSummary",
     "InterventionFamily",
-    "MipcResult",
     "OracleBackend",
     "ParseError",
     "RegimeClassification",

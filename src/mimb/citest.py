@@ -22,6 +22,10 @@ from scipy.special import gammaincc
 from .bayesnet import Dataset, DatasetBundle
 from .graph import Dag, InterventionFamily
 
+# A G-squared test is reliable only with at least this many rows per cell of
+# its full contingency table (and a positive dof).
+MIN_ROWS_PER_CELL = 5
+
 
 @dataclass(frozen=True)
 class CiResult:
@@ -57,6 +61,10 @@ class TestLedger:
 
     def snapshot(self) -> tuple[int, ...]:
         return tuple(self.counts)
+
+    def since(self, snapshot: tuple[int, ...]) -> tuple[int, ...]:
+        """Tests per dataset recorded after ``snapshot`` was taken."""
+        return tuple(a - b for a, b in zip(self.counts, snapshot))
 
 
 def chi_square_upper_tail(statistic: float, dof: int) -> float:
@@ -146,7 +154,6 @@ def _g2(
     y: str,
     zs: tuple[str, ...],
     alpha: float,
-    min_rows_per_cell: int,
 ) -> CiResult:
     """The G-squared test on canonical arguments (see :func:`_canonical`).
 
@@ -200,7 +207,7 @@ def _g2(
     dof = int(np.dot((n_x > 0).sum(axis=0) - 1, (n_y > 0).sum(axis=0) - 1))
     dof -= nz - np.count_nonzero(n_z)
 
-    reliable = n >= min_rows_per_cell * n_cells and dof > 0
+    reliable = n >= MIN_ROWS_PER_CELL * n_cells and dof > 0
     p_value = chi_square_upper_tail(stat, dof) if dof > 0 else 1.0
     return CiResult(stat, dof, p_value, bool(reliable and p_value > alpha), reliable)
 
@@ -212,14 +219,13 @@ def g2_test(
     z: Iterable[str] = (),
     alpha: float = 0.01,
     *,
-    min_rows_per_cell: int = 5,
     ledger: TestLedger | None = None,
     dataset_index: int = 0,
 ) -> CiResult:
     """G-squared conditional independence test of x and y given z.
 
     The test is flagged unreliable when the dataset is too small for the
-    full contingency table (fewer than ``min_rows_per_cell`` rows per cell)
+    full contingency table (fewer than :data:`MIN_ROWS_PER_CELL` rows per cell)
     or when the degrees of freedom degenerate to zero. Unreliable tests
     report dependence, which keeps doubtful variables in candidate sets.
 
@@ -230,7 +236,7 @@ def g2_test(
     more than ``rx * ry * n_rows`` cells, however large z is.
     """
     x, y, zs = _canonical(x, y, z)
-    res = _g2(data, x, y, zs, alpha, min_rows_per_cell)
+    res = _g2(data, x, y, zs, alpha)
     if ledger is not None:
         ledger.record(dataset_index)
     return res
@@ -260,16 +266,9 @@ class DataBackend:
     that raises (an unknown name, say) is not counted.
     """
 
-    def __init__(
-        self,
-        bundle: DatasetBundle,
-        alpha: float = 0.01,
-        *,
-        min_rows_per_cell: int = 5,
-    ):
+    def __init__(self, bundle: DatasetBundle, alpha: float = 0.01):
         self.bundle = bundle
         self.alpha = alpha
-        self.min_rows_per_cell = min_rows_per_cell
         self.variables = bundle.schema.names
         self.ledger = TestLedger(bundle.n)
         self._memo: dict[tuple[str, str, tuple[str, ...], int], CiResult] = {}
@@ -284,7 +283,7 @@ class DataBackend:
         key = (x, y, zs, dataset_index)
         res = self._memo.get(key)
         if res is None:
-            res = self._memo[key] = _g2(data, x, y, zs, self.alpha, self.min_rows_per_cell)
+            res = self._memo[key] = _g2(data, x, y, zs, self.alpha)
         else:
             self.ledger.record_hit(dataset_index)
         self.ledger.record(dataset_index)

@@ -62,15 +62,19 @@ def _int_range(spec: str) -> tuple[int, int]:
     return v, v
 
 
-def _cond_size(text: str) -> int:
-    """``--max-cond``: a conditioning-set size cap, 0 or more."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {low} or more, got {value}")
+        return value
+
+    return parse
 
 
 def _significance(text: str) -> float:
@@ -147,21 +151,13 @@ def cmd_discover(args: argparse.Namespace) -> int:
             symmetry_correction=args.symmetry,
         )
         body = {
-            "mb": sorted(result.mb),
-            "parents": sorted(result.parents),
             "cpc": sorted(result.cpc),
             "cmb": [sorted(s) for s in result.cmb],
             "sepsets": {v: sorted(s) for v, s in sorted(result.sepsets.items())},
         }
-        n_tests, per_dataset = result.n_tests, list(result.tests_per_dataset)
     else:
         result = baseline(backend, args.target, args.max_cond)
-        body = {
-            "mb": sorted(result.mb),
-            "parents": sorted(result.parents),
-            "per_dataset_mb": [sorted(r.mb) for r in result.per_dataset],
-        }
-        n_tests, per_dataset = result.n_tests, list(result.tests_per_dataset)
+        body = {"per_dataset_mb": [sorted(r.mb) for r in result.per_dataset]}
 
     _emit(
         {
@@ -171,9 +167,11 @@ def cmd_discover(args: argparse.Namespace) -> int:
             "max_cond": args.max_cond,
             "symmetry_correction": bool(args.symmetry),
             "backend": args.backend,
+            "mb": sorted(result.mb),
+            "parents": sorted(result.parents),
             **body,
-            "n_tests": n_tests,
-            "n_tests_per_dataset": per_dataset,
+            "n_tests": result.n_tests,
+            "n_tests_per_dataset": list(result.tests_per_dataset),
         },
         args.out,
     )
@@ -267,12 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample an interventional bundle from a network")
     p.add_argument("--network", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--n-datasets", type=int, default=5)
-    p.add_argument("--samples", type=int, default=5000)
+    p.add_argument("--n-datasets", type=_int_at_least(1), default=5)
+    p.add_argument("--samples", type=_int_at_least(1), default=5000)
     p.add_argument("--regime", choices=["zeta0", "mid", "all"], default="zeta0")
     p.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--cover-children", action="store_true")
-    p.add_argument("--max-targets", type=int, default=None)
+    p.add_argument("--max-targets", type=_int_at_least(1), default=None)
     p.add_argument("--alpha-dirichlet", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -283,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--algo", choices=["mimb", "baseline"], default="mimb")
     p.add_argument("--alpha", type=_significance, default=0.01)
-    p.add_argument("--max-cond", type=_cond_size, default=3)
+    p.add_argument("--max-cond", type=_int_at_least(0), default=3)
     p.add_argument("--symmetry", action="store_true")
     p.add_argument("--backend", choices=["data", "oracle"], default="data")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser("verify-theorems", help="fuzz the regime theory on random graphs")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--nodes", default="6-10", help="node count or range, e.g. 8 or 6-10")
     p.add_argument("--edge-prob", type=float, default=0.3)
     p.add_argument("--n-datasets", default="2-4")
@@ -302,16 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--algo", choices=["mimb", "baseline", "both"], default="both")
-    p.add_argument("--n-datasets", type=int, default=5)
-    p.add_argument("--samples", type=int, default=5000)
+    p.add_argument("--n-datasets", type=_int_at_least(1), default=5)
+    p.add_argument("--samples", type=_int_at_least(1), default=5000)
     p.add_argument("--regime", choices=["zeta0", "mid", "all"], default="zeta0")
     p.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--cover-children", action="store_true")
     p.add_argument("--alpha", type=_significance, default=0.01)
-    p.add_argument("--max-cond", type=_cond_size, default=3)
+    p.add_argument("--max-cond", type=_int_at_least(0), default=3)
     p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--max-targets", type=int, default=None)
-    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("--max-targets", type=_int_at_least(1), default=None)
+    p.add_argument("--reps", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_benchmark)

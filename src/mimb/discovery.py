@@ -14,38 +14,37 @@ from dataclasses import dataclass
 
 from .citest import CiBackend
 from .graph import Dag, InterventionFamily
-from .util import iter_subsets
-
-
-@dataclass(frozen=True)
-class MipcResult:
-    """Candidate parents/children plus the per-dataset bookkeeping."""
-
-    cpc: tuple[str, ...]
-    cmb: tuple[frozenset[str], ...]
-    sepsets: dict[str, frozenset[str]]
-    n_tests: int
-    tests_per_dataset: tuple[int, ...]
+from .util import iter_subsets, union_and_intersection
 
 
 @dataclass(frozen=True)
 class DiscoveryResult:
+    """Candidate parents/children, per-dataset candidate blankets and their
+    union (``mb``) and intersection (``parents``), with the tests spent."""
+
     mb: frozenset[str]
     parents: frozenset[str]
     cpc: tuple[str, ...]
     cmb: tuple[frozenset[str], ...]
     sepsets: dict[str, frozenset[str]]
-    n_tests: int
     tests_per_dataset: tuple[int, ...]
+
+    @property
+    def n_tests(self) -> int:
+        return sum(self.tests_per_dataset)
+
+
+def _result(cpc, cmb, sepsets, tests_per_dataset) -> DiscoveryResult:
+    cmb = tuple(frozenset(s) for s in cmb)
+    mb, parents = union_and_intersection(cmb)
+    return DiscoveryResult(mb, parents, tuple(cpc), cmb, sepsets, tests_per_dataset)
 
 
 def mipc(
     backend: CiBackend,
     target: str,
     max_cond_size: int = 3,
-    *,
-    rank_by_p: bool = False,
-) -> MipcResult:
+) -> DiscoveryResult:
     """Candidate parent/children discovery across all datasets.
 
     Phase 1 tests every other variable against the target marginally in
@@ -54,43 +53,35 @@ def mipc(
     everywhere keeps the empty set as its separator and is never
     reconsidered.
 
-    Phase 2 walks the candidates (admission order by default, ascending
-    marginal p-value behind ``rank_by_p``) maintaining an intermediate set
-    ipc. A candidate v is discarded if some non-empty subset S of ipc
-    separates it from the target in a dataset whose candidate blanket
-    contains both v and S; the removal applies to every dataset's blanket.
-    Otherwise v joins ipc and every earlier member is re-examined, but only
-    against subsets that contain the newly admitted v. Search order is
-    deterministic: subset sizes ascending, subsets lexicographic by member
-    position, datasets in bundle order; the first separation wins.
+    Phase 2 walks the candidates in admission order maintaining an
+    intermediate set ipc. A candidate v is discarded if some non-empty
+    subset S of ipc separates it from the target in a dataset whose
+    candidate blanket contains both v and S; the removal applies to every
+    dataset's blanket. Otherwise v joins ipc and every earlier member is
+    re-examined, but only against subsets that contain the newly admitted
+    v. Search order is deterministic: subset sizes ascending, subsets
+    lexicographic by member position, datasets in bundle order; the first
+    separation wins. A removed variable never re-enters ipc, so ``sepsets``
+    holds exactly the variables outside ``cpc``.
     """
     n = backend.n_datasets
-    before = backend.ledger.snapshot()
+    start = backend.ledger.snapshot()
 
     cpc: list[str] = []
     cmb: list[set[str]] = [set() for _ in range(n)]
     sepsets: dict[str, frozenset[str]] = {}
-    marginal_p: dict[str, float] = {}
     for v in backend.variables:
         if v == target:
             continue
         dependent_anywhere = False
-        best_p = 1.0
         for i in range(n):
-            res = backend.test(v, target, (), i)
-            if not res.independent:
+            if not backend.test(v, target, (), i).independent:
                 dependent_anywhere = True
                 cmb[i].add(v)
-                best_p = min(best_p, res.p_value)
         if dependent_anywhere:
             cpc.append(v)
-            marginal_p[v] = best_p
         else:
             sepsets[v] = frozenset()
-
-    if rank_by_p:
-        position = {v: i for i, v in enumerate(backend.variables)}
-        cpc.sort(key=lambda v: (marginal_p[v], position[v]))
 
     def find_separator(v: str, pool: list[str], must_contain: str | None):
         for subset in iter_subsets(pool, max_cond_size, containing=must_contain):
@@ -120,15 +111,7 @@ def mipc(
                     cmb[k].discard(y)
                 sepsets[y] = sep_y
 
-    after = backend.ledger.snapshot()
-    per_dataset = tuple(a - b for a, b in zip(after, before))
-    return MipcResult(
-        cpc=tuple(ipc),
-        cmb=tuple(frozenset(s) for s in cmb),
-        sepsets={v: s for v, s in sepsets.items() if v not in ipc},
-        n_tests=sum(per_dataset),
-        tests_per_dataset=per_dataset,
-    )
+    return _result(ipc, cmb, sepsets, backend.ledger.since(start))
 
 
 def mimb(
@@ -137,7 +120,6 @@ def mimb(
     max_cond_size: int = 3,
     *,
     symmetry_correction: bool = False,
-    rank_by_p: bool = False,
 ) -> DiscoveryResult:
     """Blanket and parent-set discovery across multiple datasets.
 
@@ -153,18 +135,17 @@ def mimb(
     candidate set and every per-dataset blanket) when the target is not
     among v's own candidates; dropped variables stay eligible as spouses.
     """
-    res = mipc(backend, target, max_cond_size, rank_by_p=rank_by_p)
-    before_total = res.n_tests
-    before = backend.ledger.snapshot()
+    start = backend.ledger.snapshot()
+    res = mipc(backend, target, max_cond_size)
 
     cpc = list(res.cpc)
     cmb = [set(s) for s in res.cmb]
-    sepsets = dict(res.sepsets)
+    sepsets = res.sepsets
     n = backend.n_datasets
 
     cpc_of: dict[str, tuple[str, ...]] = {}
     for v in cpc:
-        cpc_of[v] = mipc(backend, v, max_cond_size, rank_by_p=rank_by_p).cpc
+        cpc_of[v] = mipc(backend, v, max_cond_size).cpc
 
     if symmetry_correction:
         surviving = [v for v in cpc if target in cpc_of[v]]
@@ -194,25 +175,7 @@ def mimb(
                     cmb[k].add(x)
                     break
 
-    union: set[str] = set()
-    inter: set[str] | None = None
-    for s in cmb:
-        union |= s
-        inter = set(s) if inter is None else inter & s
-
-    after = backend.ledger.snapshot()
-    per_dataset = tuple(
-        a - b + base for a, b, base in zip(after, before, res.tests_per_dataset)
-    )
-    return DiscoveryResult(
-        mb=frozenset(union),
-        parents=frozenset(inter or set()),
-        cpc=tuple(cpc),
-        cmb=tuple(frozenset(s) for s in cmb),
-        sepsets=sepsets,
-        n_tests=before_total + sum(a - b for a, b in zip(after, before)),
-        tests_per_dataset=per_dataset,
-    )
+    return _result(cpc, cmb, sepsets, backend.ledger.since(start))
 
 
 def trace_example() -> tuple[Dag, InterventionFamily]:

@@ -10,7 +10,6 @@ threads.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import deque
 from typing import Iterable, Iterator
 
@@ -271,9 +270,6 @@ class InterventionFamily:
                     f"experiment {i} manipulates unknown variables {sorted(unknown)}"
                 )
 
-    def is_conservative(self) -> bool:
-        return is_conservative(self)
-
 
 def is_conservative(family: InterventionFamily) -> bool:
     """Every manipulated variable must be left alone in some experiment."""
@@ -351,10 +347,3 @@ def brute_force_d_separated(dag: Dag, x: str, y: str, z: Iterable[str] = ()) -> 
             return False
     return True
 
-
-def all_conditioning_sets(pool: Iterable[str], max_size: int) -> Iterator[frozenset[str]]:
-    """Subsets of pool up to max_size, smallest first."""
-    items = tuple(pool)
-    for size in range(min(max_size, len(items)) + 1):
-        for combo in itertools.combinations(items, size):
-            yield frozenset(combo)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .citest import CiBackend
-from .util import iter_subsets
+from .util import iter_subsets, union_and_intersection
 
 
 @dataclass(frozen=True)
@@ -20,11 +20,17 @@ class SingleMbResult:
 
 @dataclass(frozen=True)
 class BaselineResult:
+    """The per-dataset blankets, their union (``mb``) and intersection
+    (``parents``), with the tests spent."""
+
     mb: frozenset[str]
     parents: frozenset[str]
     per_dataset: tuple[SingleMbResult, ...]
-    n_tests: int
     tests_per_dataset: tuple[int, ...]
+
+    @property
+    def n_tests(self) -> int:
+        return sum(self.tests_per_dataset)
 
 
 def hiton_pc(
@@ -110,21 +116,14 @@ def baseline(
     between datasets; the repeated work is the point of comparison for the
     cross-dataset algorithm.
     """
-    before = backend.ledger.snapshot()
-    results = []
-    for i in range(backend.n_datasets):
-        results.append(hiton_mb(backend, i, target, max_cond_size))
-    union: set[str] = set()
-    inter: set[str] | None = None
-    for r in results:
-        union |= r.mb
-        inter = set(r.mb) if inter is None else inter & r.mb
-    after = backend.ledger.snapshot()
-    per_dataset = tuple(a - b for a, b in zip(after, before))
+    start = backend.ledger.snapshot()
+    per_dataset = tuple(
+        hiton_mb(backend, i, target, max_cond_size) for i in range(backend.n_datasets)
+    )
+    mb, parents = union_and_intersection(r.mb for r in per_dataset)
     return BaselineResult(
-        mb=frozenset(union),
-        parents=frozenset(inter or set()),
-        per_dataset=tuple(results),
-        n_tests=sum(per_dataset),
-        tests_per_dataset=per_dataset,
+        mb=mb,
+        parents=parents,
+        per_dataset=per_dataset,
+        tests_per_dataset=backend.ledger.since(start),
     )

@@ -160,9 +160,7 @@ def run_benchmark(
     max_cond_size: int = 3,
     reps: int = 10,
     seed: int = 0,
-    dirichlet_alpha: float = 1.0,
     symmetry_correction: bool = False,
-    min_rows_per_cell: int = 5,
     max_targets_per_set: int | None = None,
 ) -> EvalReport:
     """Repeat the synthetic protocol and score against the graph truth.
@@ -202,8 +200,8 @@ def run_benchmark(
             max_targets_per_set=max_targets_per_set,
             seed=fam_seed,
         )
-        bundle = generate_bundle(bn, family, rows_per_dataset, dirichlet_alpha, data_seed)
-        backend = DataBackend(bundle, alpha, min_rows_per_cell=min_rows_per_cell)
+        bundle = generate_bundle(bn, family, rows_per_dataset, seed=data_seed)
+        backend = DataBackend(bundle, alpha)
         if algorithm == "mimb":
             result = mimb(
                 backend,
@@ -211,16 +209,14 @@ def run_benchmark(
                 max_cond_size,
                 symmetry_correction=symmetry_correction,
             )
-            mb_found, pa_found = result.mb, result.parents
         else:
             result = baseline(backend, target, max_cond_size)
-            mb_found, pa_found = result.mb, result.parents
         report.outcomes.append(
             RepOutcome(
-                mb_found=sorted(mb_found),
-                pa_found=sorted(pa_found),
-                mb_scores=score(mb_found, truth_mb),
-                pa_scores=score(pa_found, truth_pa),
+                mb_found=sorted(result.mb),
+                pa_found=sorted(result.parents),
+                mb_scores=score(result.mb, truth_mb),
+                pa_scores=score(result.parents, truth_pa),
                 n_tests=result.n_tests,
             )
         )

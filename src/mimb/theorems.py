@@ -16,6 +16,7 @@ import numpy as np
 
 from .graph import Dag, InterventionFamily, is_conservative
 from .simulate import generate_intervention_family, random_dag
+from .util import union_and_intersection
 
 # Union relations
 UNION_EQUALS_MB = "equals-mb"
@@ -236,13 +237,7 @@ def verify(dag: Dag, target: str, family: InterventionFamily) -> VerificationRep
     """
     prediction = predict(dag, target, family)
     mbs = oracle_mbs(dag, target, family)
-    union: set[str] = set()
-    inter: set[str] | None = None
-    for s in mbs:
-        union |= s
-        inter = set(s) if inter is None else inter & s
-    union_actual = frozenset(union)
-    inter_actual = frozenset(inter or set())
+    union_actual, inter_actual = union_and_intersection(mbs)
 
     mb, pa, ch_sp = prediction.mb, prediction.parents, prediction.children_and_spouses
     children = dag.children(target)

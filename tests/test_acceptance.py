@@ -11,14 +11,12 @@ import json
 import math
 import os
 import time
-from importlib.resources import files
 
 import numpy as np
 import pytest
 
 from mimb import (
     OracleBackend,
-    baseline,
     brute_force_d_separated,
     chi_square_upper_tail,
     fuzz_theorems,
@@ -27,7 +25,6 @@ from mimb import (
     generate_intervention_family,
     mimb,
     mipc,
-    parse_network,
     random_dag,
     run_benchmark,
     trace_example,
@@ -43,12 +40,6 @@ FUZZ_SEED = 0
 def verdict(number: int, passed: bool, detail: str) -> None:
     print(f"[criterion {number:2d}] {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"criterion {number}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def alarm():
-    text = (files("mimb") / "data" / "alarm.net").read_text(encoding="utf-8")
-    return parse_network(text)
 
 
 @pytest.fixture(scope="module")

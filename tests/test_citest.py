@@ -230,6 +230,7 @@ class TestG2Test:
         g2_test(data, "X", "Y", (), ledger=ledger, dataset_index=1)
         assert ledger.snapshot() == (1, 2)
         assert ledger.total == 3
+        assert ledger.since((1, 1)) == (0, 1)
 
     def test_rejects_overlapping_roles(self):
         rng = np.random.default_rng(7)

@@ -183,23 +183,42 @@ class TestExitCodes:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "flag, value, message",
+        "command, flag, value, message",
         [
-            ("--max-cond", -1, "must be 0 or more"),
-            ("--max-cond", "two", "expected an integer"),
-            ("--alpha", 0, "strictly between 0 and 1"),
-            ("--alpha", 1, "strictly between 0 and 1"),
-            ("--alpha", -0.5, "strictly between 0 and 1"),
-            ("--alpha", "nan", "strictly between 0 and 1"),
+            (command, *case)
+            for command in ("discover", "benchmark")
+            for case in [
+                ("--max-cond", -1, "must be 0 or more"),
+                ("--max-cond", "two", "expected an integer"),
+                ("--alpha", 0, "strictly between 0 and 1"),
+                ("--alpha", 1, "strictly between 0 and 1"),
+                ("--alpha", -0.5, "strictly between 0 and 1"),
+                ("--alpha", "nan", "strictly between 0 and 1"),
+            ]
+        ]
+        + [
+            ("verify-theorems", "--trials", -3, "must be 1 or more"),
+            ("verify-theorems", "--trials", 0, "must be 1 or more"),
+            ("benchmark", "--reps", 0, "must be 1 or more"),
+        ]
+        + [
+            (command, flag, 0, "must be 1 or more")
+            for command in ("generate", "benchmark")
+            for flag in ("--n-datasets", "--samples", "--max-targets")
         ],
     )
-    @pytest.mark.parametrize("command", ["discover", "benchmark"])
     def test_bad_test_settings_are_input_errors(
         self, command, flag, value, message, tmp_path, capsys
     ):
-        source = "--manifest" if command == "discover" else "--network"
+        # every other required argument; parsing fails before any is used
+        required = {
+            "discover": ["--manifest", tmp_path / "missing", "--target", "T"],
+            "benchmark": ["--network", tmp_path / "missing", "--target", "T"],
+            "generate": ["--network", tmp_path / "missing", "--target", "T", "--out", tmp_path],
+            "verify-theorems": [],
+        }[command]
         with pytest.raises(SystemExit) as exc:
-            run_cli(command, source, tmp_path / "missing", "--target", "T", flag, value)
+            run_cli(command, *required, flag, value)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and message in err

@@ -6,6 +6,7 @@ from mimb import (
     DataBackend,
     InterventionFamily,
     OracleBackend,
+    baseline,
     generate_bundle,
     generate_intervention_family,
     is_conservative,
@@ -15,6 +16,7 @@ from mimb import (
     random_dag,
     trace_example,
 )
+from mimb.util import union_and_intersection
 
 
 @pytest.fixture
@@ -84,6 +86,8 @@ class TestTraceFixture:
         assert res.sepsets["E"] == {"B"}
         assert res.sepsets["F"] == frozenset()
         assert res.sepsets["C"] == frozenset()
+        assert (res.mb, res.parents) == union_and_intersection(res.cmb)
+        assert (res.mb, res.parents) == ({"A", "B", "G"}, {"A", "B"})
 
     def test_neighbour_candidate_sets(self, trace_backend):
         assert set(mipc(trace_backend, "A").cpc) == {"E", "T"}
@@ -100,6 +104,7 @@ class TestTraceFixture:
             {"A", "B", "G", "C"},
             {"A", "B", "G"},
         ]
+        assert (res.mb, res.parents) == union_and_intersection(res.cmb)
         assert res.n_tests == trace_backend.ledger.total
 
 
@@ -121,11 +126,6 @@ class TestMipc:
     def test_sepsets_only_for_non_members(self, trace_backend):
         res = mipc(trace_backend, "T")
         assert set(res.sepsets) == {"E", "F", "C"}
-
-    def test_ranked_variant_same_sets_on_oracle(self, trace_backend):
-        plain = mipc(trace_backend, "T")
-        ranked = mipc(trace_backend, "T", rank_by_p=True)
-        assert set(plain.cpc) == set(ranked.cpc)
 
 
 class TestSymmetryCorrection:
@@ -253,3 +253,27 @@ class TestMimbProperties:
         res = mimb(trace_backend, "T")
         assert res.n_tests == sum(res.tests_per_dataset)
         assert res.n_tests == trace_backend.ledger.total
+
+    @pytest.mark.parametrize("algorithm", [mipc, mimb, baseline], ids=lambda f: f.__name__)
+    def test_reported_tests_are_the_ledger_delta_of_the_call(self, trace_backend, algorithm):
+        mimb(trace_backend, "A")  # an earlier run leaves the ledger non-zero
+        start = trace_backend.ledger.snapshot()
+        assert all(start)
+        res = algorithm(trace_backend, "T")
+        delta = tuple(a - b for a, b in zip(trace_backend.ledger.snapshot(), start))
+        assert res.tests_per_dataset == delta
+        assert res.n_tests == sum(delta) > 0
+
+
+@pytest.mark.parametrize(
+    "blankets, union, intersection",
+    [
+        ([], set(), set()),
+        ([{"A", "B"}], {"A", "B"}, {"A", "B"}),
+        ([{"A", "B"}, {"B", "C"}, frozenset({"B", "D"})], {"A", "B", "C", "D"}, {"B"}),
+        ([{"A"}, set()], {"A"}, set()),
+    ],
+)
+def test_union_and_intersection(blankets, union, intersection):
+    assert union_and_intersection(blankets) == (union, intersection)
+    assert all(type(s) is frozenset for s in union_and_intersection(iter(blankets)))

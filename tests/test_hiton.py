@@ -10,6 +10,7 @@ from mimb import (
     hiton_pc,
     random_dag,
 )
+from mimb.util import union_and_intersection
 
 
 def observational(dag, n=1):
@@ -97,6 +98,7 @@ class TestBaseline:
         ]
         assert res.mb == {"A", "B", "C"}
         assert res.parents == {"A"}
+        assert (res.mb, res.parents) == union_and_intersection(r.mb for r in res.per_dataset)
         assert res.n_tests == backend.ledger.total
 
     def test_fig3_union(self, fig2_dag, fig3_family):
