@@ -290,12 +290,25 @@ class DataBackend:
         return res
 
 
+# The two answers of the oracle: p-values are 1 or 0 by convention.
+_SEPARATED = CiResult(statistic=0.0, dof=0, p_value=1.0, independent=True, reliable=True)
+_CONNECTED = CiResult(statistic=math.inf, dof=0, p_value=0.0, independent=False, reliable=True)
+
+
 class OracleBackend:
     """Ideal tests answered by d-separation on post-intervention graphs.
 
     Dataset i is represented by the graph after the i-th experiment's
     manipulations. Results are always reliable; p-values are 1 or 0 by
     convention.
+
+    One Bayes-ball sweep from y answers every x for the same (y, z,
+    dataset), and the discovery algorithms ask about one target y at a
+    time while x varies. So the sweeps for the current y are memoised
+    under (z, dataset), and the memo is dropped when a query names another
+    y. Every query is validated first and counted like
+    :class:`DataBackend`'s: ``ledger.hits`` counts those answered from the
+    memo, and a query that raises is not counted.
     """
 
     def __init__(self, dag: Dag, family: InterventionFamily):
@@ -305,18 +318,24 @@ class OracleBackend:
         self.post_dags = tuple(dag.apply_intervention(s) for s in family.sets)
         self.variables = dag.variables
         self.ledger = TestLedger(len(self.post_dags))
+        self._memo_y = -1
+        self._memo: dict[tuple[int, int], int] = {}
 
     @property
     def n_datasets(self) -> int:
         return len(self.post_dags)
 
     def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult:
-        separated = self.post_dags[dataset_index].d_separated(x, y, z)
+        dag = self.post_dags[dataset_index]
+        xi, yi, zmask = dag._query(x, y, z)
+        if yi != self._memo_y:
+            self._memo.clear()
+            self._memo_y = yi
+        key = (zmask, dataset_index)
+        reached = self._memo.get(key)
+        if reached is None:
+            reached = self._memo[key] = dag._connected_mask(yi, zmask)
+        else:
+            self.ledger.record_hit(dataset_index)
         self.ledger.record(dataset_index)
-        return CiResult(
-            statistic=0.0 if separated else math.inf,
-            dof=0,
-            p_value=1.0 if separated else 0.0,
-            independent=separated,
-            reliable=True,
-        )
+        return _CONNECTED if reached >> xi & 1 else _SEPARATED

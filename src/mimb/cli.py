@@ -54,12 +54,19 @@ def _load_network(path: str):
     return parse_network(Path(path).read_text(encoding="utf-8"))
 
 
-def _int_range(spec: str) -> tuple[int, int]:
-    if "-" in spec:
-        lo, hi = spec.split("-", 1)
-        return int(lo), int(hi)
-    v = int(spec)
-    return v, v
+def _int_range(text: str) -> tuple[int, int]:
+    """An argparse type: ``N`` or ``LO-HI``, integers with 1 <= LO <= HI."""
+    lo, dash, hi = text.partition("-")
+    try:
+        low = int(lo)
+        high = int(hi) if dash else low
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO-HI, got {text!r}") from None
+    if low < 1:
+        raise argparse.ArgumentTypeError(f"must be 1 or more, got {text}")
+    if high < low:
+        raise argparse.ArgumentTypeError(f"reversed range {text}")
+    return low, high
 
 
 def _int_at_least(low: int):
@@ -181,9 +188,9 @@ def cmd_discover(args: argparse.Namespace) -> int:
 def cmd_verify_theorems(args: argparse.Namespace) -> int:
     summary = fuzz_theorems(
         args.trials,
-        node_range=_int_range(args.nodes),
+        node_range=args.nodes,
         edge_prob=args.edge_prob,
-        n_datasets_range=_int_range(args.n_datasets),
+        n_datasets_range=args.n_datasets,
         seed=args.seed,
     )
     _emit(summary.to_json_dict(), args.out)
@@ -289,9 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorems", help="fuzz the regime theory on random graphs")
     p.add_argument("--trials", type=_int_at_least(1), default=1000)
-    p.add_argument("--nodes", default="6-10", help="node count or range, e.g. 8 or 6-10")
+    p.add_argument(
+        "--nodes", type=_int_range, default="6-10", help="node count or range, e.g. 8 or 6-10"
+    )
     p.add_argument("--edge-prob", type=float, default=0.3)
-    p.add_argument("--n-datasets", default="2-4")
+    p.add_argument("--n-datasets", type=_int_range, default="2-4")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_theorems)

@@ -22,7 +22,10 @@ class Dag:
     order exists.
     """
 
-    __slots__ = ("variables", "edges", "_index", "_pa", "_ch", "_topo", "_hash")
+    __slots__ = (
+        "variables", "edges", "_index", "_pa", "_ch", "_topo", "_hash",
+        "_pa_mask", "_ch_mask",
+    )
 
     def __init__(self, variables: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -31,6 +34,10 @@ class Dag:
             raise ValueError("duplicate variable names")
         pa: list[set[int]] = [set() for _ in self.variables]
         ch: list[set[int]] = [set() for _ in self.variables]
+        # the same relation as bitmasks (bit i is variable i), for the
+        # d-separation sweep
+        pa_mask = [0] * len(self.variables)
+        ch_mask = [0] * len(self.variables)
         seen: set[tuple[int, int]] = set()
         for a, b in edges:
             ia, ib = self._resolve(a), self._resolve(b)
@@ -41,8 +48,12 @@ class Dag:
             seen.add((ia, ib))
             pa[ib].add(ia)
             ch[ia].add(ib)
+            pa_mask[ib] |= 1 << ia
+            ch_mask[ia] |= 1 << ib
         self._pa = tuple(frozenset(s) for s in pa)
         self._ch = tuple(frozenset(s) for s in ch)
+        self._pa_mask = tuple(pa_mask)
+        self._ch_mask = tuple(ch_mask)
         self.edges: frozenset[tuple[str, str]] = frozenset(
             (self.variables[a], self.variables[b]) for a, b in seen
         )
@@ -166,50 +177,74 @@ class Dag:
         on. Decided with a linear-time reachability sweep over (node,
         direction) states rather than path enumeration.
         """
-        xi, yi = self._resolve(x), self._resolve(y)
-        zi = frozenset(self._resolve(v) for v in z)
+        xi, yi, zmask = self._query(x, y, z)
+        return not self._connected_mask(yi, zmask) >> xi & 1
+
+    def _query(self, x: str, y: str, z: Iterable[str]) -> tuple[int, int, int]:
+        """The indices of x and y and the bitmask of z, checked as
+        :meth:`d_separated` requires: known names, x != y, neither of them
+        in z. A name may repeat in z."""
+        index = self._index
+        try:
+            xi, yi = index[x], index[y]
+            zmask = 0
+            for v in z:
+                zmask |= 1 << index[v]
+        except KeyError as exc:
+            raise ValueError(f"unknown variable {exc.args[0]!r}") from None
         if xi == yi:
             raise ValueError(f"x and y must differ, both are {x!r}")
-        if xi in zi or yi in zi:
+        if zmask >> xi & 1 or zmask >> yi & 1:
             raise ValueError("x and y must not be in the conditioning set")
+        return xi, yi, zmask
 
+    def _connected_mask(self, yi: int, zmask: int) -> int:
+        """Bitmask of every node the ball sent from yi reaches given the
+        nodes in zmask (Shachter's Bayes-ball).
+
+        A node that is neither yi nor in zmask is in the mask iff it is
+        d-connected to yi given z, so one sweep answers every x. States are
+        (node, came_from_child), the source entered as if from below; the
+        sweep advances whole layers of states as bitmasks and never stops
+        early.
+        """
+        pa_mask, ch_mask = self._pa_mask, self._ch_mask
         # Ancestors of the conditioning set, including the set itself:
         # these are the nodes at which a collider may pass the ball.
-        anc = set(zi)
-        stack = list(zi)
-        while stack:
-            v = stack.pop()
-            for p in self._pa[v]:
-                if p not in anc:
-                    anc.add(p)
-                    stack.append(p)
-
-        # States are (node, came_from_child); the source behaves as if
-        # entered from below.
-        UP, DOWN = True, False
-        queue: deque[tuple[int, bool]] = deque([(xi, UP)])
-        visited: set[tuple[int, bool]] = set()
-        while queue:
-            v, direction = queue.popleft()
-            if (v, direction) in visited:
-                continue
-            visited.add((v, direction))
-            if v == yi:
-                return False
-            if direction is UP:
-                if v not in zi:
-                    for p in self._pa[v]:
-                        queue.append((p, UP))
-                    for c in self._ch[v]:
-                        queue.append((c, DOWN))
-            else:
-                if v not in zi:
-                    for c in self._ch[v]:
-                        queue.append((c, DOWN))
-                if v in anc:
-                    for p in self._pa[v]:
-                        queue.append((p, UP))
-        return True
+        anc = front = zmask
+        while front:
+            parents = 0
+            while front:
+                bit = front & -front
+                parents |= pa_mask[bit.bit_length() - 1]
+                front ^= bit
+            front = parents & ~anc
+            anc |= front
+        open_ = ~zmask
+        up_seen = down_seen = 0
+        up, down = 1 << yi, 0  # states entered from a child / from a parent
+        while up or down:
+            up_seen |= up
+            down_seen |= down
+            # entered from a child and not conditioned on: the ball goes on
+            # to the parents and the children; entered from a parent: on to
+            # the children unless conditioned on, back to the parents if an
+            # ancestor of z
+            to_parents = (up & open_) | (down & anc)
+            to_children = (up | down) & open_
+            up = down = 0
+            m = to_parents | to_children
+            while m:
+                bit = m & -m
+                v = bit.bit_length() - 1
+                if to_parents & bit:
+                    up |= pa_mask[v]
+                if to_children & bit:
+                    down |= ch_mask[v]
+                m ^= bit
+            up &= ~up_seen
+            down &= ~down_seen
+        return up_seen | down_seen
 
 
 class InterventionFamily:

@@ -390,7 +390,19 @@ def fuzz_theorems(
     generator cannot express the condition: non-conservativity is forced by
     inserting one non-target variable into every experiment, uncovered
     children by deleting one child from every experiment.
+
+    Rows that need a child or a second variable fit no one-node graph and
+    no graph without edges, so the draws would never end: a node range
+    that allows no graph of two nodes, a zero ``edge_prob`` or a reversed
+    range raises ``ValueError``.
     """
+    for name, (low, high) in (("node_range", node_range), ("n_datasets_range", n_datasets_range)):
+        if low > high:
+            raise ValueError(f"{name} is reversed: {low} > {high}")
+    if node_range[1] < 2:
+        raise ValueError(f"node_range must allow two nodes or more, got {node_range}")
+    if edge_prob <= 0:
+        raise ValueError("edge_prob must be positive, or no graph has a child to verify")
     rows = {name: RowStats() for name in ROW_NAMES}
     master = np.random.SeedSequence(seed)
     row_streams = master.spawn(len(_ROWS))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -12,16 +13,20 @@ from mimb import (
     InterventionFamily,
     OracleBackend,
     Schema,
+    brute_force_d_separated,
     chi_square_upper_tail,
     contingency_counts,
     forward_sample,
     g2_statistic,
     g2_test,
     generate_bundle,
+    generate_intervention_family,
+    mimb as mimb_discovery,
     parse_network,
+    random_dag,
     trace_example,
 )
-from mimb.citest import TestLedger as Ledger
+from mimb.citest import CiResult, TestLedger as Ledger
 
 
 # -- independent oracles -------------------------------------------------------
@@ -482,3 +487,114 @@ class TestBackends:
     def test_oracle_backend_rejects_unknown_names(self, fig1_dag):
         with pytest.raises(ValueError, match="unknown"):
             OracleBackend(fig1_dag, InterventionFamily([{"Z"}]))
+
+
+class _PathEnumerationOracle(OracleBackend):
+    """The oracle backend without its sweep or memo: every query is
+    answered by :func:`brute_force_d_separated` on its own."""
+
+    def test(self, x, y, z, dataset_index):
+        separated = brute_force_d_separated(self.post_dags[dataset_index], x, y, z)
+        self.ledger.record(dataset_index)
+        return CiResult(
+            statistic=0.0 if separated else math.inf,
+            dof=0,
+            p_value=1.0 if separated else 0.0,
+            independent=separated,
+            reliable=True,
+        )
+
+
+class TestOracleMemo:
+    def test_answers_match_brute_force(self):
+        master = np.random.SeedSequence(21)
+        for ss in master.spawn(12):
+            rng = np.random.default_rng(ss)
+            dag = random_dag(int(rng.integers(3, 9)), 0.35, rng)
+            names = dag.variables
+            family = InterventionFamily(
+                {v for v in names if rng.random() < 0.25}
+                for _ in range(int(rng.integers(1, 4)))
+            )
+            backend = OracleBackend(dag, family)
+            queries = [
+                (x, y, z, k)
+                for x, y in itertools.permutations(names, 2)
+                for size in range(4)
+                for z in itertools.combinations([v for v in names if v not in (x, y)], size)
+                for k in range(family.n)
+            ]
+            # shuffled, so y changes between most queries and the memo is
+            # dropped again and again
+            order = rng.permutation(len(queries))
+            asked = [0] * family.n
+            for i in order:
+                x, y, z, k = queries[i]
+                expected = brute_force_d_separated(backend.post_dags[k], x, y, z)
+                # the second and third forms repeat (y, z, k): memo hits
+                for form in (z, set(z), z + z):
+                    res = backend.test(x, y, form, k)
+                    assert res.independent == expected
+                    assert res.p_value == (1.0 if expected else 0.0)
+                    assert res.reliable
+                asked[k] += 3
+            assert backend.ledger.counts == asked
+            assert all(h >= 2 * n // 3 for h, n in zip(backend.ledger.hits, asked))
+            assert all(h > 0 for h in backend.ledger.hits)
+
+    def test_failed_queries_count_nothing_and_keep_the_memo(self):
+        dag, family = trace_example()
+        backend = OracleBackend(dag, family)
+        bad = [
+            (("T", "NOPE", (), 0), "unknown variable 'NOPE'"),
+            (("NOPE", "T", (), 1), "unknown variable 'NOPE'"),
+            (("A", "T", ("NOPE",), 2), "unknown variable 'NOPE'"),
+            (("T", "T", (), 0), "must differ"),
+            (("A", "T", ("A",), 1), "conditioning set"),
+            (("A", "T", ("B", "T", "T"), 2), "conditioning set"),
+            # another y: must not drop the memo for T either
+            (("T", "G", ("T",), 0), "conditioning set"),
+        ]
+        for query, message in bad:
+            with pytest.raises(ValueError, match=message):
+                backend.test(*query)
+        assert backend.ledger.counts == [0, 0, 0]
+        assert backend.ledger.hits == [0, 0, 0]
+
+        asked = 0
+        for x in ("E", "A", "B", "F", "C"):
+            for k in range(3):
+                for query, message in bad:
+                    with pytest.raises(ValueError, match=message):
+                        backend.test(*query)
+                separated = brute_force_d_separated(backend.post_dags[k], x, "T", ("G",))
+                assert backend.test(x, "T", ("G",), k).independent == separated
+                asked += 1
+        assert backend.ledger.counts == [asked // 3] * 3
+        # one sweep per dataset, every later query a hit
+        assert backend.ledger.hits == [asked // 3 - 1] * 3
+
+    def test_answers_are_the_two_shared_results(self):
+        backend = OracleBackend(*trace_example())
+        separated = backend.test("E", "T", ("A", "B"), 0)
+        connected = backend.test("A", "T", (), 0)
+        assert separated == CiResult(0.0, 0, 1.0, True, True)
+        assert connected == CiResult(math.inf, 0, 0.0, False, True)
+        assert backend.test("F", "T", (), 1) is separated
+        assert backend.test("B", "T", (), 1) is connected
+
+    @pytest.mark.parametrize("case", ["trace", "alarm-VTUB"])
+    def test_discovery_matches_the_path_enumeration_backend(self, case, alarm):
+        if case == "trace":
+            dag, family = trace_example()
+            target = "T"
+        else:
+            dag, target = alarm.dag, "VTUB"
+            family = generate_intervention_family(
+                dag, target, 3, "zeta_zero", require_conservative=True,
+                max_targets_per_set=3, seed=5,
+            )
+        fast = OracleBackend(dag, family)
+        result = mimb_discovery(fast, target)
+        assert result == mimb_discovery(_PathEnumerationOracle(dag, family), target)
+        assert sum(fast.ledger.hits) > 0

@@ -205,6 +205,18 @@ class TestExitCodes:
             (command, flag, 0, "must be 1 or more")
             for command in ("generate", "benchmark")
             for flag in ("--n-datasets", "--samples", "--max-targets")
+        ]
+        + [
+            ("verify-theorems", flag, *case)
+            for flag in ("--nodes", "--n-datasets")
+            for case in [
+                ("a-b", "expected N or LO-HI"),
+                ("3-", "expected N or LO-HI"),
+                ("-3", "expected N or LO-HI"),
+                ("5-2", "reversed range"),
+                ("0", "must be 1 or more"),
+                ("0-3", "must be 1 or more"),
+            ]
         ],
     )
     def test_bad_test_settings_are_input_errors(
@@ -222,6 +234,23 @@ class TestExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: " in err and message in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--nodes", "1"], "two nodes or more"),
+            (["--nodes", "1-1"], "two nodes or more"),
+            (["--edge-prob", "0"], "edge_prob must be positive"),
+        ],
+    )
+    def test_fuzzer_settings_that_fit_no_row_are_input_errors(self, args, message):
+        # these used to redraw forever; the timeout turns a hang into a failure
+        proc = subprocess.run(
+            [sys.executable, "-m", "mimb.cli", "verify-theorems", "--trials", "1", *args],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
 
     @pytest.mark.parametrize(
         "manifest, csv_header, message",

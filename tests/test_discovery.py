@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mimb import (
     Dag,
@@ -16,7 +19,7 @@ from mimb import (
     random_dag,
     trace_example,
 )
-from mimb.util import union_and_intersection
+from mimb.util import iter_subsets, union_and_intersection
 
 
 @pytest.fixture
@@ -277,3 +280,30 @@ class TestMimbProperties:
 def test_union_and_intersection(blankets, union, intersection):
     assert union_and_intersection(blankets) == (union, intersection)
     assert all(type(s) is frozenset for s in union_and_intersection(iter(blankets)))
+
+
+def _filtered_subsets(pool, max_size, containing=None):
+    """The reference for ``iter_subsets``: every subset, filtered."""
+    items = tuple(pool)
+    for size in range(1, min(max_size, len(items)) + 1):
+        for combo in itertools.combinations(items, size):
+            if containing is None or containing in combo:
+                yield combo
+
+
+@st.composite
+def _subset_queries(draw):
+    # repeated names are allowed in the pool, but not for the member
+    pool = draw(st.lists(st.sampled_from("ABCDEFGHI"), max_size=9))
+    once = sorted(v for v in set(pool) if pool.count(v) == 1)
+    containing = draw(st.sampled_from([None, "Z", *once]))
+    return pool, draw(st.integers(-1, 10)), containing
+
+
+@given(_subset_queries())
+@example((list("ABCD"), 3, "D"))  # the discovery algorithms pass the last member
+@example((list("ACBD"), 3, "C"))
+def test_iter_subsets_matches_the_filter(query):
+    # subset order fixes every test count, so the order must match too
+    assert list(iter_subsets(*query)) == list(_filtered_subsets(*query))
+

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mimb import (
     Dag,
@@ -165,6 +166,20 @@ class TestFuzzer:
         assert a.total_failures == 0
         assert a.total_trials == 60 * 12
         assert a.to_json() == b.to_json()
+
+    # the settings that used to redraw forever are checked through the CLI,
+    # under a timeout, in test_cli.py
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"node_range": (0, 1)}, "two nodes or more"),
+            ({"node_range": (5, 2)}, "node_range is reversed"),
+            ({"n_datasets_range": (3, 2)}, "n_datasets_range is reversed"),
+        ],
+    )
+    def test_settings_that_fit_no_row_raise(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fuzz_theorems(1, **kwargs)
 
     def test_single_node_graphs_pass_vacuously(self):
         summary = fuzz_theorems(5, node_range=(1, 2), edge_prob=0.5,
