@@ -168,6 +168,8 @@ class BayesianNetwork:
                 raise ValueError(
                     f"CPT for {v!r} has shape {table.shape}, expected {(n_rows, card)}"
                 )
+            if not np.isfinite(table).all():
+                raise ValueError(f"CPT for {v!r} contains non-finite entries")
             if (table < 0).any():
                 raise ValueError(f"CPT for {v!r} contains negative probabilities")
             sums = table.sum(axis=1)
@@ -253,6 +255,8 @@ def parse_network(text: str) -> BayesianNetwork:
                     f"row has {len(row)} entries, {name!r} has {len(states[name])} states",
                     lineno,
                 )
+            if not all(math.isfinite(p) for p in row):
+                raise ParseError(f"non-finite probability in CPT of {name!r}", lineno)
             if any(p < 0 for p in row):
                 raise ParseError(f"negative probability in CPT of {name!r}", lineno)
             total = math.fsum(row)
@@ -378,8 +382,8 @@ def randomize_manipulated_cpts(
     symmetric Dirichlet (alpha 1 is the uninformative choice); every other
     variable keeps its parents and its CPT unchanged.
     """
-    if dirichlet_alpha <= 0:
-        raise ValueError("dirichlet_alpha must be positive")
+    if not 0 < dirichlet_alpha < math.inf:
+        raise ValueError("dirichlet_alpha must be finite and positive")
     tset = set(targets)
     for t in tset:
         bn.dag.index(t)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from scipy.special import gammaincc
@@ -279,7 +279,7 @@ class DataBackend:
 
     def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult:
         x, y, zs = _canonical(x, y, z)
-        data = self.bundle[dataset_index]
+        data = _dataset(self.bundle, dataset_index)
         key = (x, y, zs, dataset_index)
         res = self._memo.get(key)
         if res is None:
@@ -288,6 +288,14 @@ class DataBackend:
             self.ledger.record_hit(dataset_index)
         self.ledger.record(dataset_index)
         return res
+
+
+def _dataset(items: Sequence, dataset_index: int):
+    """``items[dataset_index]`` for an index in 0..n-1; any other index,
+    negative ones included, raises ``ValueError``."""
+    if not 0 <= dataset_index < len(items):
+        raise ValueError(f"dataset index {dataset_index} is outside 0..{len(items) - 1}")
+    return items[dataset_index]
 
 
 # The two answers of the oracle: p-values are 1 or 0 by convention.
@@ -326,7 +334,7 @@ class OracleBackend:
         return len(self.post_dags)
 
     def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult:
-        dag = self.post_dags[dataset_index]
+        dag = _dataset(self.post_dags, dataset_index)
         xi, yi, zmask = dag._query(x, y, z)
         if yi != self._memo_y:
             self._memo.clear()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -84,15 +85,22 @@ def _int_at_least(low: int):
     return parse
 
 
-def _significance(text: str) -> float:
-    """``--alpha``: a significance level strictly between 0 and 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
-    return value
+def _float_between(low: float, high: float):
+    """An argparse type: a number strictly between ``low`` and ``high``
+    (so never NaN, and finite when both bounds are)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(
+                f"must lie strictly between {low:g} and {high:g}, got {text}"
+            )
+        return value
+
+    return parse
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--cover-children", action="store_true")
     p.add_argument("--max-targets", type=_int_at_least(1), default=None)
-    p.add_argument("--alpha-dirichlet", type=float, default=1.0)
+    p.add_argument("--alpha-dirichlet", type=_float_between(0, math.inf), default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -287,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--algo", choices=["mimb", "baseline"], default="mimb")
-    p.add_argument("--alpha", type=_significance, default=0.01)
+    p.add_argument("--alpha", type=_float_between(0, 1), default=0.01)
     p.add_argument("--max-cond", type=_int_at_least(0), default=3)
     p.add_argument("--symmetry", action="store_true")
     p.add_argument("--backend", choices=["data", "oracle"], default="data")
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=["zeta0", "mid", "all"], default="zeta0")
     p.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--cover-children", action="store_true")
-    p.add_argument("--alpha", type=_significance, default=0.01)
+    p.add_argument("--alpha", type=_float_between(0, 1), default=0.01)
     p.add_argument("--max-cond", type=_int_at_least(0), default=3)
     p.add_argument("--symmetry", action="store_true")
     p.add_argument("--max-targets", type=_int_at_least(1), default=None)

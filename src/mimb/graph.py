@@ -209,17 +209,6 @@ class Dag:
         early.
         """
         pa_mask, ch_mask = self._pa_mask, self._ch_mask
-        # Ancestors of the conditioning set, including the set itself:
-        # these are the nodes at which a collider may pass the ball.
-        anc = front = zmask
-        while front:
-            parents = 0
-            while front:
-                bit = front & -front
-                parents |= pa_mask[bit.bit_length() - 1]
-                front ^= bit
-            front = parents & ~anc
-            anc |= front
         open_ = ~zmask
         up_seen = down_seen = 0
         up, down = 1 << yi, 0  # states entered from a child / from a parent
@@ -228,9 +217,11 @@ class Dag:
             down_seen |= down
             # entered from a child and not conditioned on: the ball goes on
             # to the parents and the children; entered from a parent: on to
-            # the children unless conditioned on, back to the parents if an
-            # ancestor of z
-            to_parents = (up & open_) | (down & anc)
+            # the children unless conditioned on, back to the parents if
+            # conditioned on. A collider with a conditioned descendant needs
+            # no rule of its own: the ball passes down to that descendant,
+            # bounces, and climbs back up through the collider.
+            to_parents = (up & open_) | (down & zmask)
             to_children = (up | down) & open_
             up = down = 0
             m = to_parents | to_children

@@ -67,8 +67,8 @@ def random_cpts(
     """Uniform-cardinality CPTs with symmetric-Dirichlet rows."""
     if cardinality < 2:
         raise ValueError("cardinality must be at least 2")
-    if dirichlet_alpha <= 0:
-        raise ValueError("dirichlet_alpha must be positive")
+    if not 0 < dirichlet_alpha < math.inf:
+        raise ValueError("dirichlet_alpha must be finite and positive")
     rng = _as_generator(seed)
     if state_labels is None:
         state_labels = tuple(f"s{i}" for i in range(cardinality))
@@ -93,21 +93,26 @@ def generate_intervention_family(
     require_children_covered: bool = False,
     max_targets_per_set: int | None = None,
     seed=0,
-    max_attempts: int = 10000,
 ) -> InterventionFamily:
     """Random manipulated-variable sets satisfying the requested regime.
 
     ``regime`` fixes how often the target itself is manipulated: never
     (zeta_zero), somewhere strictly between never and always (zeta_mid), or
     in every experiment (zeta_all). Conservativity is checked on the family
-    itself, except under zeta_all where it is checked with the target
-    removed. ``require_children_covered`` forces every child of the target
-    into some experiment, the precondition for recovering the parent set by
+    with the target removed, under every regime: the target escapes some
+    experiment unless it is manipulated in all of them, so this is the
+    family's own conservativity under zeta_zero and zeta_mid.
+    ``require_children_covered`` forces every child of the target into some
+    experiment, the precondition for recovering the parent set by
     intersection.
 
-    Sampling is by rejection with a bounded number of attempts, after which
-    the last draw is repaired constructively (offending variables are
-    removed from one experiment, missing children are added to one).
+    The family is drawn once (the target's experiments, then up to
+    ``max_targets_per_set`` other variables per experiment) and then
+    repaired: each missing child is added to one random experiment, and
+    each variable other than the target that is manipulated everywhere is
+    removed from one random experiment. The repair never touches the
+    target, so the zeta pattern is kept, and a draw that already satisfies
+    the constraints is returned unchanged.
     """
     regime = _REGIME_ALIASES.get(regime, regime)
     if regime not in REGIMES:
@@ -118,17 +123,17 @@ def generate_intervention_family(
     if regime == "zeta_mid" and n_datasets < 2:
         raise ConstraintError("zeta_mid needs at least two datasets")
     others = [v for v in dag.variables if v != target]
-    if require_conservative and n_datasets < 2 and others:
-        if regime == "zeta_all":
-            # manipulating only the target is the single family that is
-            # conservative (minus the target) with one experiment
-            return InterventionFamily([{target}])
-        raise ConstraintError(
-            "conservativity needs at least two datasets when variables are manipulated"
-        )
     children = dag.children(target)
-    if require_children_covered and children and regime == "zeta_zero" and n_datasets < 2 and require_conservative:
-        raise ConstraintError("cannot cover children conservatively with one dataset")
+    if require_conservative and n_datasets < 2 and others:
+        if regime != "zeta_all":
+            raise ConstraintError(
+                "conservativity needs at least two datasets when variables are manipulated"
+            )
+        if require_children_covered and children:
+            raise ConstraintError("cannot cover children conservatively with one dataset")
+        # manipulating only the target is the single family that is
+        # conservative (minus the target) with one experiment
+        return InterventionFamily([{target}])
 
     rng = _as_generator(seed)
     max_t = max_targets_per_set
@@ -137,63 +142,37 @@ def generate_intervention_family(
     if max_t < 1:
         raise ConstraintError("max_targets_per_set must be at least 1")
 
-    def draw() -> list[set[str]]:
-        if regime == "zeta_zero":
-            t_in = [False] * n_datasets
-        elif regime == "zeta_all":
-            t_in = [True] * n_datasets
-        else:
-            k = int(rng.integers(1, n_datasets))
-            chosen = rng.choice(n_datasets, size=k, replace=False)
-            t_in = [i in set(int(c) for c in chosen) for i in range(n_datasets)]
-        sets: list[set[str]] = []
-        for i in range(n_datasets):
-            size = int(rng.integers(1, max_t + 1))
-            size = min(size, len(others))
-            picked = rng.choice(len(others), size=size, replace=False) if size else []
-            s = {others[int(j)] for j in picked}
-            if t_in[i]:
-                s.add(target)
-            sets.append(s)
-        return sets
+    if regime == "zeta_zero":
+        t_in = [False] * n_datasets
+    elif regime == "zeta_all":
+        t_in = [True] * n_datasets
+    else:
+        k = int(rng.integers(1, n_datasets))
+        chosen = set(rng.choice(n_datasets, size=k, replace=False).tolist())
+        t_in = [i in chosen for i in range(n_datasets)]
+    sets: list[set[str]] = []
+    for i in range(n_datasets):
+        size = min(int(rng.integers(1, max_t + 1)), len(others))
+        picked = rng.choice(len(others), size=size, replace=False) if size else []
+        s = {others[int(j)] for j in picked}
+        if t_in[i]:
+            s.add(target)
+        sets.append(s)
 
-    def ok(sets: list[set[str]]) -> bool:
-        fam = InterventionFamily(sets)
-        if require_conservative:
-            check = fam.without(target) if regime == "zeta_all" else fam
-            if not is_conservative(check):
-                return False
-        if require_children_covered and not children <= fam.union_of_targets():
-            return False
-        return True
+    if require_children_covered:
+        for c in sorted(children - InterventionFamily(sets).union_of_targets()):
+            sets[int(rng.integers(n_datasets))].add(c)
+    if require_conservative:
+        for v in sorted(InterventionFamily(sets).union_of_targets() - {target}):
+            if all(v in s for s in sets):
+                sets[int(rng.integers(n_datasets))].discard(v)
 
-    sets = None
-    for _ in range(max_attempts):
-        candidate = draw()
-        if ok(candidate):
-            sets = candidate
-            break
-    if sets is None:
-        # Constructive repair of the last draw: termination is guaranteed
-        # and the zeta pattern is never touched.
-        sets = candidate
-        if require_children_covered:
-            missing = sorted(children - InterventionFamily(sets).union_of_targets())
-            for c in missing:
-                sets[int(rng.integers(n_datasets))].add(c)
-        if require_conservative:
-            exempt = {target} if regime == "zeta_all" else set()
-            for v in sorted(InterventionFamily(sets).union_of_targets() - exempt):
-                if all(v in s for s in sets):
-                    if n_datasets < 2:
-                        raise ConstraintError(
-                            f"cannot make {v!r} conservative with a single dataset"
-                        )
-                    sets[int(rng.integers(n_datasets))].discard(v)
-        if not ok(sets):
-            raise ConstraintError("constraints remain unsatisfied after repair")
-
-    return InterventionFamily(sets)
+    family = InterventionFamily(sets)
+    if (require_conservative and not is_conservative(family.without(target))) or (
+        require_children_covered and not children <= family.union_of_targets()
+    ):
+        raise ConstraintError("constraints remain unsatisfied after repair")
+    return family
 
 
 def generate_bundle(

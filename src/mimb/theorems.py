@@ -35,7 +35,12 @@ INTER_SUBSET_CH_SP = "subset-of-ch-sp"
 
 @dataclass(frozen=True)
 class RegimeClassification:
-    """Exact regime flags recomputed from (graph, target, family)."""
+    """Exact regime flags recomputed from (graph, target, family).
+
+    The regime rules read ``conservative_minus_t``: the target escapes some
+    experiment unless zeta is n, so under zeta zero and mid it equals
+    ``conservative``, and under zeta all it is the condition the proofs need.
+    """
 
     zeta_t: int
     n: int
@@ -58,6 +63,7 @@ class TheoremPrediction:
     spouses whenever no variable plays two roles at once.
     """
 
+    classification: RegimeClassification
     union_relation: str
     intersection_relation: str
     mb: frozenset[str]
@@ -165,7 +171,7 @@ def predict(dag: Dag, target: str, family: InterventionFamily) -> TheoremPredict
     ch_sp = dag.children(target) | _collider_partners(dag, target)
 
     if c.zeta_class in ("zero", "mid"):
-        union = UNION_EQUALS_MB if c.conservative else UNION_BETWEEN_PA_AND_MB
+        union = UNION_EQUALS_MB if c.conservative_minus_t else UNION_BETWEEN_PA_AND_MB
     else:
         union = UNION_EQUALS_CH_SP if c.conservative_minus_t else UNION_SUBSET_CH_SP
 
@@ -185,6 +191,7 @@ def predict(dag: Dag, target: str, family: InterventionFamily) -> TheoremPredict
             inter = INTER_SUBSET_CH_SP
 
     return TheoremPrediction(
+        classification=c,
         union_relation=union,
         intersection_relation=inter,
         mb=mb,
@@ -284,7 +291,7 @@ def verify(dag: Dag, target: str, family: InterventionFamily) -> VerificationRep
 
     return VerificationReport(
         target=target,
-        classification=classify_regime(dag, target, family),
+        classification=prediction.classification,
         prediction=prediction,
         mb_per_dataset=mbs,
         union_actual=union_actual,
@@ -296,21 +303,22 @@ def verify(dag: Dag, target: str, family: InterventionFamily) -> VerificationRep
 
 # -- fuzzing -----------------------------------------------------------------
 
-# (name, regime, require_conservative, force_nonconservative,
-#  require_children_covered, force_child_uncovered, needs_children)
-_ROWS: tuple[tuple[str, str, bool, bool, bool, bool, bool], ...] = (
-    ("union-zero-conservative", "zeta_zero", True, False, False, False, False),
-    ("union-zero-nonconservative", "zeta_zero", False, True, False, False, False),
-    ("union-mid-conservative", "zeta_mid", True, False, False, False, False),
-    ("union-mid-nonconservative", "zeta_mid", False, True, False, False, False),
-    ("union-all-conservative", "zeta_all", True, False, False, False, False),
-    ("union-all-nonconservative", "zeta_all", False, True, False, False, False),
-    ("intersection-zero-covered", "zeta_zero", True, False, True, False, False),
-    ("intersection-zero-uncovered", "zeta_zero", True, False, False, True, True),
-    ("intersection-mid-covered", "zeta_mid", True, False, True, False, False),
-    ("intersection-mid-uncovered", "zeta_mid", True, False, False, True, True),
-    ("intersection-all-covered", "zeta_all", True, False, True, False, False),
-    ("intersection-all-uncovered", "zeta_all", True, False, False, True, True),
+# (name, regime, conservative, children): a row's family is conservative
+# (with the target removed) or not, and its target's children are all
+# covered, some left uncovered, or either
+_ROWS: tuple[tuple[str, str, bool, str], ...] = (
+    ("union-zero-conservative", "zeta_zero", True, "any"),
+    ("union-zero-nonconservative", "zeta_zero", False, "any"),
+    ("union-mid-conservative", "zeta_mid", True, "any"),
+    ("union-mid-nonconservative", "zeta_mid", False, "any"),
+    ("union-all-conservative", "zeta_all", True, "any"),
+    ("union-all-nonconservative", "zeta_all", False, "any"),
+    ("intersection-zero-covered", "zeta_zero", True, "covered"),
+    ("intersection-zero-uncovered", "zeta_zero", True, "uncovered"),
+    ("intersection-mid-covered", "zeta_mid", True, "covered"),
+    ("intersection-mid-uncovered", "zeta_mid", True, "uncovered"),
+    ("intersection-all-covered", "zeta_all", True, "covered"),
+    ("intersection-all-uncovered", "zeta_all", True, "uncovered"),
 )
 
 ROW_NAMES = tuple(name for name, *_ in _ROWS)
@@ -389,7 +397,9 @@ def fuzz_theorems(
     actually classifies into the row, post-editing the family where the
     generator cannot express the condition: non-conservativity is forced by
     inserting one non-target variable into every experiment, uncovered
-    children by deleting one child from every experiment.
+    children by deleting one child from every experiment. Each instance is
+    classified once, by :func:`verify`, and counts for the row only if
+    that classification fits it.
 
     Rows that need a child or a second variable fit no one-node graph and
     no graph without edges, so the draws would never end: a node range
@@ -407,16 +417,14 @@ def fuzz_theorems(
     master = np.random.SeedSequence(seed)
     row_streams = master.spawn(len(_ROWS))
 
-    for (name, regime, conservative, force_noncon, covered, force_uncov, needs_children), stream in zip(
-        _ROWS, row_streams
-    ):
+    for (name, regime, conservative, children), stream in zip(_ROWS, row_streams):
         rng = np.random.default_rng(stream)
         stats = rows[name]
         while stats.trials < trials_per_row:
             n_nodes = int(rng.integers(node_range[0], node_range[1] + 1))
             dag = random_dag(n_nodes, edge_prob, rng)
             target = dag.variables[int(rng.integers(n_nodes))]
-            if needs_children and not dag.children(target):
+            if children == "uncovered" and not dag.children(target):
                 continue
             n_datasets = int(rng.integers(n_datasets_range[0], n_datasets_range[1] + 1))
             family = generate_intervention_family(
@@ -425,36 +433,27 @@ def fuzz_theorems(
                 n_datasets,
                 regime,
                 require_conservative=conservative,
-                require_children_covered=covered,
+                require_children_covered=children == "covered",
                 seed=rng,
             )
-            if force_noncon:
+            if not conservative:
                 pool = [v for v in dag.variables if v != target]
                 if not pool:
                     continue  # a single variable cannot break conservativity
                 offender = pool[int(rng.integers(len(pool)))]
                 family = InterventionFamily([s | {offender} for s in family.sets])
-            if force_uncov:
+            if children == "uncovered":
                 child = sorted(dag.children(target))[0]
                 family = InterventionFamily([s - {child} for s in family.sets])
 
-            c = classify_regime(dag, target, family)
-            if c.zeta_class != regime.removeprefix("zeta_"):
-                continue
-            if conservative and not (
-                c.conservative_minus_t if regime == "zeta_all" else c.conservative
-            ):
-                continue
-            if force_noncon and (
-                c.conservative_minus_t if regime == "zeta_all" else c.conservative
-            ):
-                continue
-            if covered and not c.children_covered:
-                continue
-            if force_uncov and c.children_covered:
-                continue
-
             report = verify(dag, target, family)
+            c = report.classification
+            if (
+                c.zeta_class != regime.removeprefix("zeta_")
+                or c.conservative_minus_t != conservative
+                or (children != "any" and c.children_covered != (children == "covered"))
+            ):
+                continue
             stats.trials += 1
             if not report.passed:
                 stats.failures += 1

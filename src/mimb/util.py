@@ -14,8 +14,10 @@ def iter_subsets(
     """Non-empty subsets of pool, smallest first, positions lexicographic.
 
     With ``containing`` set, only subsets that include that member are
-    produced (the pool must not contain it twice), in the same order; they
-    are generated directly, not filtered from all subsets.
+    produced, in the same order. The member must be the pool's last item
+    (the discovery algorithms always pass the newest admission, which is
+    last), so each subset is a combination of the items before it plus the
+    member. A member anywhere else, or missing, raises ``ValueError``.
     """
     items = tuple(pool)
     upper = min(max_size, len(items))
@@ -23,36 +25,12 @@ def iter_subsets(
         for size in range(1, upper + 1):
             yield from itertools.combinations(items, size)
         return
-    if containing not in items:
-        return
-    # A subset with the member is head + (member,) + tail, the head drawn
-    # from the members before it and the tail from those after it. Position
-    # order compares head + (member,) first, so a head comes after its own
-    # extensions, and then the tails in their order.
-    pos = items.index(containing)
-    before, after = items[:pos], items[pos + 1:]
+    before = items[:-1]
+    if items[-1:] != (containing,) or containing in before:
+        raise ValueError(f"{containing!r} must be the last member of the pool, and only there")
     for size in range(1, upper + 1):
-        for head in _heads(before, size - 1, size - 1 - len(after)):
-            lead = head + (containing,)
-            if not after:  # the discovery algorithms pass the last member
-                yield lead
-                continue
-            for tail in itertools.combinations(after, size - 1 - len(head)):
-                yield lead + tail
-
-
-def _heads(pool: tuple[str, ...], most: int, least: int) -> Iterator[tuple[str, ...]]:
-    """Subsets of pool with ``least`` to ``most`` members, in position
-    order with each subset after its own extensions."""
-    if most == least:
-        yield from itertools.combinations(pool, most)
-        return
-    if most > 0:
-        for i, v in enumerate(pool):
-            for head in _heads(pool[i + 1:], most - 1, least - 1):
-                yield (v,) + head
-    if least <= 0:
-        yield ()
+        for head in itertools.combinations(before, size - 1):
+            yield head + (containing,)
 
 
 def union_and_intersection(

@@ -73,6 +73,11 @@ class TestParser:
         with pytest.raises(ParseError, match="negative"):
             parse_network("VAR A a b\nCPT A\n1.5 -0.5\n")
 
+    @pytest.mark.parametrize("row", ["nan 1", "nan nan", "1 nan", "inf 0", "-inf inf"])
+    def test_non_finite_probability(self, row):
+        with pytest.raises(ParseError, match="line 3: non-finite probability in CPT of 'A'"):
+            parse_network(f"VAR A a b\nCPT A\n{row}\n")
+
     def test_tolerant_rows_are_renormalised(self):
         text = "VAR A a b\nCPT A\n0.5000004 0.5\n"
         bn = parse_network(text)
@@ -103,6 +108,11 @@ class TestValidation:
         states = {"A": ("0", "1"), "B": ("0", "1")}
         with pytest.raises(ValueError, match="shape"):
             BayesianNetwork(dag, states, {"A": np.array([[0.5, 0.5]]), "B": np.array([[1.0, 0.0]])})
+
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_entries(self, row):
+        with pytest.raises(ValueError, match="CPT for 'A' contains non-finite entries"):
+            BayesianNetwork(Dag(["A"]), {"A": ("0", "1")}, {"A": np.array([row])})
 
     def test_row_sum_tolerance(self):
         dag = Dag(["A"])
@@ -185,8 +195,9 @@ class TestManipulation:
 
     def test_rejects_bad_alpha(self):
         bn = parse_network(TWO_VAR)
-        with pytest.raises(ValueError, match="positive"):
-            randomize_manipulated_cpts(bn, {"B"}, dirichlet_alpha=0.0)
+        for alpha in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                randomize_manipulated_cpts(bn, {"B"}, dirichlet_alpha=alpha)
 
     def test_graph_matches_surgery(self, alarm):
         targets = {"VTUB", "KINK"}

@@ -23,6 +23,7 @@ from mimb import (
     generate_intervention_family,
     mimb as mimb_discovery,
     parse_network,
+    random_cpts,
     random_dag,
     trace_example,
 )
@@ -408,7 +409,7 @@ class TestMemo:
             backend.test("HR", "HR", (), 0)
         with pytest.raises(ValueError):
             backend.test("HR", "CO", ("CO",), 0)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="dataset index 2 is outside 0..1"):
             backend.test("HR", "CO", (), 2)
         assert backend.ledger.total == 1 and backend.ledger.hits == [0, 0]
         with pytest.raises(ValueError, match="unknown"):
@@ -483,6 +484,21 @@ class TestBackends:
         assert backend.ledger.total == 0
         backend.test("T", "A", (), 0)
         assert backend.ledger.snapshot()[0] == 1
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_data_backend_rejects_a_dataset_index_outside_the_bundle(self, index):
+        dag, family = trace_example()
+        backend = DataBackend(generate_bundle(random_cpts(dag, seed=1), family, 50, seed=2))
+        with pytest.raises(ValueError, match=f"dataset index {index} is outside 0..2"):
+            backend.test("A", "T", (), index)
+        assert backend.ledger.counts == backend.ledger.hits == [0, 0, 0]
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_oracle_backend_rejects_a_dataset_index_outside_the_family(self, index):
+        backend = OracleBackend(*trace_example())
+        with pytest.raises(ValueError, match=f"dataset index {index} is outside 0..2"):
+            backend.test("A", "T", (), index)
+        assert backend.ledger.counts == backend.ledger.hits == [0, 0, 0]
 
     def test_oracle_backend_rejects_unknown_names(self, fig1_dag):
         with pytest.raises(ValueError, match="unknown"):

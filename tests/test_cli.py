@@ -207,6 +207,10 @@ class TestExitCodes:
             for flag in ("--n-datasets", "--samples", "--max-targets")
         ]
         + [
+            ("generate", "--alpha-dirichlet", value, "strictly between 0 and inf")
+            for value in ("nan", "inf", 0, -2)
+        ]
+        + [
             ("verify-theorems", flag, *case)
             for flag in ("--nodes", "--n-datasets")
             for case in [

@@ -1,17 +1,21 @@
 """Every imported name is used: a stdlib ``ast`` stand-in for an
-unused-import lint over the package modules and the test files.
+unused-import lint over the package modules and the test files. And every
+private module-level function or class of the package is used by the
+package, so a helper goes with its last caller.
 
-``mimb/__init__.py`` is left out, since its imports are the public
-re-exports.
+``mimb/__init__.py`` is left out of the import check, since its imports are
+the public re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in (ROOT / "src" / "mimb").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "mimb").glob("*.py"))
+FILES = [p for p in PACKAGE if p.name != "__init__.py"]
 FILES += sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -48,3 +52,51 @@ def test_no_unused_imports(path):
 )
 def test_the_check_itself(source, unused):
     assert unused_imports(source) == unused
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read in the subtree, plain or as an attribute."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+    return names
+
+
+def unreferenced_private_definitions(sources: list[str]) -> list[str]:
+    """Private module-level functions and classes that no expression in
+    the sources reads outside their own body."""
+    trees = [ast.parse(source) for source in sources]
+    used = sum((_references(tree) for tree in trees), Counter())
+    return [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and used[node.name] == _references(node)[node.name]
+    ]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    assert unreferenced_private_definitions(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources, unreferenced",
+    [
+        (["def _f(): ...\n"], ["_f"]),
+        (["class _C: ...\n", "x = 1\n"], ["_C"]),
+        (["def _f(): ...\n", "from a import _f\n_f()\n"], []),
+        (["def _f(): ...\ny = m._f\n"], []),
+        (["def _f(n):\n    return _f(n - 1)\n"], ["_f"]),
+        (["def _f(n):\n    return _f(n - 1)\n", "_f(3)\n"], []),
+        (["def __getattr__(name): ...\ndef f(): ...\n"], []),
+    ],
+)
+def test_the_private_check_itself(sources, unreferenced):
+    assert unreferenced_private_definitions(sources) == unreferenced

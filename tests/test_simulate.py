@@ -1,14 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mimb import (
     ConstraintError,
+    InterventionFamily,
     generate_bundle,
     generate_intervention_family,
     is_conservative,
     random_cpts,
     random_dag,
 )
+
+
+def _regime_conservative(family, target):
+    """The reference for the one conservativity rule: the family itself,
+    or the family without the target when every experiment manipulates it."""
+    if family.zeta(target) == family.n:
+        return is_conservative(family.without(target))
+    return is_conservative(family)
+
+
+@given(st.lists(st.sets(st.sampled_from("TABC")), min_size=1, max_size=5))
+def test_one_conservativity_rule_matches_the_regime_choice(sets):
+    family = InterventionFamily(sets)
+    assert is_conservative(family.without("T")) == _regime_conservative(family, "T")
 
 
 class TestRandomDag:
@@ -49,8 +65,9 @@ class TestRandomCpts:
         dag = random_dag(3, 0.5, seed=2)
         with pytest.raises(ValueError):
             random_cpts(dag, cardinality=1)
-        with pytest.raises(ValueError):
-            random_cpts(dag, dirichlet_alpha=-1.0)
+        for alpha in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                random_cpts(dag, dirichlet_alpha=alpha)
 
 
 class TestInterventionFamilies:
@@ -109,6 +126,54 @@ class TestInterventionFamilies:
         )
         assert fam.sets == (frozenset({"T"}),)
         assert is_conservative(fam.without("T"))
+
+    @pytest.mark.parametrize("regime", ["zeta_zero", "zeta_mid", "zeta_all"])
+    @pytest.mark.parametrize("conservative", [True, False])
+    @pytest.mark.parametrize("covered", [True, False])
+    def test_repair_meets_every_rule_on_small_graphs(self, fig2_dag, regime, conservative, covered):
+        graphs = [(fig2_dag, "T")]
+        for seed in range(40):
+            dag = random_dag(2 + seed % 5, 0.5, seed=seed)
+            graphs.append((dag, dag.variables[seed % len(dag.variables)]))
+        repaired = 0
+        for i, (dag, target) in enumerate(graphs):
+            children = dag.children(target)
+            for n in range(1, 5):
+                # one manipulated variable per experiment, or all of them,
+                # so that many draws need the repair
+                for max_t in (1, len(dag.variables)):
+                    kwargs = dict(max_targets_per_set=max_t, seed=i)
+                    try:
+                        fam = generate_intervention_family(
+                            dag, target, n, regime, require_conservative=conservative,
+                            require_children_covered=covered, **kwargs,
+                        )
+                    except ConstraintError:
+                        # exactly the settings no family can meet
+                        assert n == 1 and (regime == "zeta_mid" or (
+                            conservative and len(dag.variables) > 1
+                            and (regime != "zeta_all" or (covered and children))
+                        ))
+                        continue
+                    zeta = fam.zeta(target)
+                    assert {"zeta_zero": zeta == 0, "zeta_mid": 0 < zeta < n,
+                            "zeta_all": zeta == n}[regime]
+                    if conservative:
+                        assert is_conservative(fam.without(target))
+                    if covered:
+                        assert children <= fam.union_of_targets()
+                    if n == 1 and conservative and regime == "zeta_all":
+                        continue  # returned without a draw
+                    # the unconstrained call makes the same draw: the repair
+                    # only adds children and drops variables other than the
+                    # target
+                    draw = generate_intervention_family(
+                        dag, target, n, regime, require_conservative=False, **kwargs
+                    )
+                    for got, drawn in zip(fam, draw):
+                        assert got - drawn <= children and target not in drawn ^ got
+                    repaired += fam != draw
+        assert (repaired > 0) == (conservative or covered)
 
     def test_deterministic(self, alarm):
         a = generate_intervention_family(alarm.dag, "CCHL", 5, "zeta_mid", seed=77)

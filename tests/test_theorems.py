@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mimb.theorems
 from mimb import (
     Dag,
     InterventionFamily,
@@ -180,6 +181,19 @@ class TestFuzzer:
     def test_settings_that_fit_no_row_raise(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             fuzz_theorems(1, **kwargs)
+
+    def test_each_instance_is_classified_once(self, monkeypatch):
+        calls = {"classify_regime": 0, "verify": 0}
+        for name in calls:
+            real = getattr(mimb.theorems, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(mimb.theorems, name, counted)
+        summary = fuzz_theorems(5, seed=3)
+        assert calls["classify_regime"] == calls["verify"] == summary.total_trials == 60
 
     def test_single_node_graphs_pass_vacuously(self):
         summary = fuzz_theorems(5, node_range=(1, 2), edge_prob=0.5,
