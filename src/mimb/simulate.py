@@ -3,6 +3,7 @@ intervention families, and interventional dataset bundles."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -48,12 +49,11 @@ def random_dag(n_nodes: int, edge_prob: float, seed, names: Sequence[str] | None
         names = tuple(names)
         if len(names) != n_nodes:
             raise ValueError("names must match n_nodes")
-    order = rng.permutation(n_nodes)
-    edges = []
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            if rng.random() < edge_prob:
-                edges.append((names[order[i]], names[order[j]]))
+    ordered = [names[i] for i in rng.permutation(n_nodes).tolist()]
+    # one coin per pair in the order (i, j), i < j, of the ordered names;
+    # a bulk draw yields the same doubles as one scalar draw per pair
+    hits = (rng.random(n_nodes * (n_nodes - 1) // 2) < edge_prob).tolist()
+    edges = [pair for pair, hit in zip(itertools.combinations(ordered, 2), hits) if hit]
     return Dag(names, edges)
 
 

@@ -1,10 +1,11 @@
 """Exact verification of what unions and intersections of per-dataset
 Markov blankets can recover, as a function of the manipulation regime.
 
-Everything here is graph-level: per-dataset blankets are computed exactly on
-post-intervention graphs, the expected relation is predicted from the regime
-classification, and the two are compared. The fuzzer drives this over
-thousands of random (graph, target, family) instances per regime row.
+Everything here is graph-level: per-dataset blankets are read exactly off
+the intact graph under each experiment's surgery, the expected relation is
+predicted from the regime classification, and the two are compared. The
+fuzzer drives this over thousands of random (graph, target, family)
+instances per regime row.
 """
 
 from __future__ import annotations
@@ -118,12 +119,57 @@ class VerificationReport:
         }
 
 
+class _Neighbourhood:
+    """The target's parents, children and collider partners in the intact
+    graph, read once per instance: every experiment's blanket and every
+    relation :func:`verify` checks come from them.
+
+    ``child_parents`` pairs each child of the target with its parents (the
+    target among them); ``partners`` is the union of those parents and
+    ``multi_spouses`` the ones shared by two or more children, both
+    without the target.
+    """
+
+    __slots__ = ("target", "parents", "children", "child_parents", "partners", "multi_spouses")
+
+    def __init__(self, dag: Dag, target: str):
+        self.target = target
+        self.parents = dag.parents(target)
+        self.children = dag.children(target)
+        self.child_parents = tuple((c, dag.parents(c)) for c in self.children)
+        # one pass over the children: a parent already seen is shared
+        seen: set[str] = set()
+        multi: set[str] = set()
+        for _, pa in self.child_parents:
+            multi |= seen & pa
+            seen |= pa
+        self.partners = frozenset(seen - {target})
+        self.multi_spouses = frozenset(multi - {target})
+
+    def blankets(self, family: InterventionFamily) -> tuple[frozenset[str], ...]:
+        """The target's blanket after each experiment's graph surgery.
+
+        Surgery on S only deletes the edges into S, so the blanket is read
+        off the intact graph: the target's parents unless the target is in
+        S, its children outside S, and those children's parents, the target
+        excluded.
+        """
+        out = []
+        for s in family.sets:
+            mb = set() if self.target in s else set(self.parents)
+            for c, pa in self.child_parents:
+                if c not in s:
+                    mb.add(c)
+                    mb |= pa
+            mb.discard(self.target)
+            out.append(frozenset(mb))
+        return tuple(out)
+
+
 def oracle_mbs(dag: Dag, target: str, family: InterventionFamily) -> tuple[frozenset[str], ...]:
     """Exact blanket of the target in each post-intervention graph."""
     family.validate_names(dag.variables)
-    return tuple(
-        dag.apply_intervention(s).markov_blanket(target) for s in family.sets
-    )
+    return _Neighbourhood(dag, target).blankets(family)
 
 
 def classify_regime(dag: Dag, target: str, family: InterventionFamily) -> RegimeClassification:
@@ -165,11 +211,10 @@ def predict(dag: Dag, target: str, family: InterventionFamily) -> TheoremPredict
     empty set, untouched children leave exactly children plus spouses, and
     partial coverage only bounds it by children plus spouses.
     """
-    c = classify_regime(dag, target, family)
-    mb = dag.markov_blanket(target)
-    parents = dag.parents(target)
-    ch_sp = dag.children(target) | _collider_partners(dag, target)
+    return _predict(classify_regime(dag, target, family), _Neighbourhood(dag, target))
 
+
+def _predict(c: RegimeClassification, nb: _Neighbourhood) -> TheoremPrediction:
     if c.zeta_class in ("zero", "mid"):
         union = UNION_EQUALS_MB if c.conservative_minus_t else UNION_BETWEEN_PA_AND_MB
     else:
@@ -194,36 +239,9 @@ def predict(dag: Dag, target: str, family: InterventionFamily) -> TheoremPredict
         classification=c,
         union_relation=union,
         intersection_relation=inter,
-        mb=mb,
-        parents=parents,
-        children_and_spouses=ch_sp,
-    )
-
-
-def _collider_partners(dag: Dag, target: str) -> frozenset[str]:
-    """Parents of the target's children, the target excluded."""
-    out: set[str] = set()
-    for c in dag.children(target):
-        out |= dag.parents(c)
-    out.discard(target)
-    return frozenset(out)
-
-
-def _multi_spouses(dag: Dag, target: str) -> frozenset[str]:
-    """Variables parenting two or more distinct children of the target."""
-    children = dag.children(target)
-    out: set[str] = set()
-    for m in dag.variables:
-        if m == target:
-            continue
-        if sum(1 for c in children if m in dag.parents(c)) >= 2:
-            out.add(m)
-    return frozenset(out)
-
-
-def _always_manipulated_children(dag: Dag, target: str, family: InterventionFamily) -> frozenset[str]:
-    return frozenset(
-        c for c in dag.children(target) if all(c in s for s in family.sets)
+        mb=nb.parents | nb.children | nb.partners,
+        parents=nb.parents,
+        children_and_spouses=nb.children | nb.partners,
     )
 
 
@@ -242,15 +260,15 @@ def verify(dag: Dag, target: str, family: InterventionFamily) -> VerificationRep
       a spouse shared by two or more children. Whenever no such dual-role
       variable exists the equalities are asserted exactly.
     """
-    prediction = predict(dag, target, family)
-    mbs = oracle_mbs(dag, target, family)
+    c = classify_regime(dag, target, family)  # validates the family's names
+    nb = _Neighbourhood(dag, target)
+    prediction = _predict(c, nb)
+    mbs = nb.blankets(family)
     union_actual, inter_actual = union_and_intersection(mbs)
 
     mb, pa, ch_sp = prediction.mb, prediction.parents, prediction.children_and_spouses
-    children = dag.children(target)
-    partners = _collider_partners(dag, target)
-    multi = _multi_spouses(dag, target)
-    stuck = _always_manipulated_children(dag, target, family)
+    children, partners, multi = nb.children, nb.partners, nb.multi_spouses
+    stuck = children.intersection(*family.sets)  # children manipulated everywhere
     unrecoverable = stuck - partners  # stuck children with no spouse role
 
     rel = prediction.union_relation
@@ -398,12 +416,15 @@ def fuzz_theorems(
     generator cannot express the condition: non-conservativity is forced by
     inserting one non-target variable into every experiment, uncovered
     children by deleting one child from every experiment. Each instance is
-    classified once, by :func:`verify`, and counts for the row only if
-    that classification fits it.
+    classified once, by :func:`verify`. The sampler and the post-edits
+    guarantee that the classification fits the row, so an instance outside
+    it is a bug in them and raises ``RuntimeError``.
 
     Rows that need a child or a second variable fit no one-node graph and
-    no graph without edges, so the draws would never end: a node range
-    that allows no graph of two nodes, a zero ``edge_prob`` or a reversed
+    no graph without edges, so the draws would never end, and the
+    conservative zeta_zero rows and the zeta_mid rows cannot draw a single
+    experiment: a node range that allows no graph of two nodes, a zero
+    ``edge_prob``, a dataset range that starts below two or a reversed
     range raises ``ValueError``.
     """
     for name, (low, high) in (("node_range", node_range), ("n_datasets_range", n_datasets_range)):
@@ -413,6 +434,11 @@ def fuzz_theorems(
         raise ValueError(f"node_range must allow two nodes or more, got {node_range}")
     if edge_prob <= 0:
         raise ValueError("edge_prob must be positive, or no graph has a child to verify")
+    if n_datasets_range[0] < 2:
+        raise ValueError(
+            f"n_datasets_range must start at two datasets or more, got {n_datasets_range}:"
+            " the conservative zeta_zero rows and the zeta_mid rows need two experiments"
+        )
     rows = {name: RowStats() for name in ROW_NAMES}
     master = np.random.SeedSequence(seed)
     row_streams = master.spawn(len(_ROWS))
@@ -424,7 +450,8 @@ def fuzz_theorems(
             n_nodes = int(rng.integers(node_range[0], node_range[1] + 1))
             dag = random_dag(n_nodes, edge_prob, rng)
             target = dag.variables[int(rng.integers(n_nodes))]
-            if children == "uncovered" and not dag.children(target):
+            t_children = dag.children(target)
+            if children == "uncovered" and not t_children:
                 continue
             n_datasets = int(rng.integers(n_datasets_range[0], n_datasets_range[1] + 1))
             family = generate_intervention_family(
@@ -443,7 +470,7 @@ def fuzz_theorems(
                 offender = pool[int(rng.integers(len(pool)))]
                 family = InterventionFamily([s | {offender} for s in family.sets])
             if children == "uncovered":
-                child = sorted(dag.children(target))[0]
+                child = min(t_children)
                 family = InterventionFamily([s - {child} for s in family.sets])
 
             report = verify(dag, target, family)
@@ -453,7 +480,7 @@ def fuzz_theorems(
                 or c.conservative_minus_t != conservative
                 or (children != "any" and c.children_covered != (children == "covered"))
             ):
-                continue
+                raise RuntimeError(f"row {name!r} drew an instance outside it: {c}")
             stats.trials += 1
             if not report.passed:
                 stats.failures += 1

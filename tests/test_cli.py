@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from mimb import format_network, random_cpts, trace_example
+import mimb.theorems
+from mimb import InterventionFamily, format_network, random_cpts, trace_example
 from mimb.cli import main
 
 TINY_NET = """\
@@ -138,6 +139,15 @@ class TestOtherCommands:
         assert summary["passed"] is True
         assert summary["total_trials"] == 20 * 12
 
+    def test_verify_theorems_instance_outside_its_row_is_internal(self, monkeypatch, capsys):
+        # a family manipulating the target everywhere fits no zeta_zero row
+        monkeypatch.setattr(
+            mimb.theorems, "generate_intervention_family",
+            lambda dag, target, n, *args, **kwargs: InterventionFamily([{target}] * n),
+        )
+        assert run_cli("verify-theorems", "--trials", 1) == 4
+        assert "RuntimeError: row 'union-zero-conservative'" in capsys.readouterr().err
+
     def test_benchmark(self, tiny_network, tmp_path, capsys):
         out = tmp_path / "bench.json"
         code = run_cli(
@@ -245,6 +255,9 @@ class TestExitCodes:
             (["--nodes", "1"], "two nodes or more"),
             (["--nodes", "1-1"], "two nodes or more"),
             (["--edge-prob", "0"], "edge_prob must be positive"),
+            # these used to do part of the work and then exit 3
+            (["--n-datasets", "1"], "two datasets or more"),
+            (["--n-datasets", "1-3"], "two datasets or more"),
         ],
     )
     def test_fuzzer_settings_that_fit_no_row_are_input_errors(self, args, message):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mimb import (
     ConstraintError,
+    Dag,
     InterventionFamily,
     generate_bundle,
     generate_intervention_family,
@@ -25,6 +26,33 @@ def _regime_conservative(family, target):
 def test_one_conservativity_rule_matches_the_regime_choice(sets):
     family = InterventionFamily(sets)
     assert is_conservative(family.without("T")) == _regime_conservative(family, "T")
+
+
+def _random_dag_reference(n_nodes, edge_prob, rng):
+    """The per-pair loop random_dag replaced: one scalar draw per coin."""
+    names = tuple(f"X{i}" for i in range(n_nodes))
+    order = rng.permutation(n_nodes)
+    edges = []
+    for i in range(n_nodes):
+        for j in range(i + 1, n_nodes):
+            if rng.random() < edge_prob:
+                edges.append((names[order[i]], names[order[j]]))
+    return Dag(names, edges)
+
+
+@given(
+    st.integers(1, 10),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 0.5, 0)
+@example(6, 0.0, 1)
+@example(6, 1.0, 2)
+def test_random_dag_matches_the_per_pair_loop(n_nodes, edge_prob, seed):
+    # the same graph, and the generator left in the same state
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert random_dag(n_nodes, edge_prob, fast) == _random_dag_reference(n_nodes, edge_prob, slow)
+    assert fast.random() == slow.random()
 
 
 class TestRandomDag:

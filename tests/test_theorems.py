@@ -1,7 +1,12 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import mimb.theorems
 from mimb import (
@@ -21,7 +26,43 @@ from mimb.theorems import (
     UNION_BETWEEN_PA_AND_MB,
     UNION_EQUALS_CH_SP,
     UNION_EQUALS_MB,
+    _Neighbourhood,
 )
+
+
+@st.composite
+def instances(draw):
+    """A random DAG of 1-10 nodes, a target, and 1-4 experiments that may
+    manipulate the target, its children, other variables or nothing."""
+    n = draw(st.integers(1, 10))
+    names = [f"X{i}" for i in range(n)]
+    pairs = list(itertools.combinations(draw(st.permutations(names)), 2))
+    coins = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    dag = Dag(names, [pair for pair, coin in zip(pairs, coins) if coin])
+    target = draw(st.sampled_from(names))
+    children = sorted(dag.children(target))
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = draw(st.sets(st.sampled_from(names), max_size=3))
+        if draw(st.booleans()):
+            s.add(target)
+        if children:
+            s |= draw(st.sets(st.sampled_from(children)))
+        sets.append(s)
+    return dag, target, InterventionFamily(sets)
+
+
+def _collider_partners_reference(dag, target):
+    return frozenset().union(*(dag.parents(c) for c in dag.children(target))) - {target}
+
+
+def _multi_spouses_reference(dag, target):
+    """The loop over every variable and child that the one pass replaced."""
+    children = dag.children(target)
+    return frozenset(
+        m for m in dag.variables
+        if m != target and sum(1 for c in children if m in dag.parents(c)) >= 2
+    )
 
 
 class TestOracleMbs:
@@ -40,6 +81,30 @@ class TestOracleMbs:
         fam = InterventionFamily([set(), set(), set()])
         mbs = oracle_mbs(fig2_dag, "T", fam)
         assert all(mb == fig2_dag.markov_blanket("T") for mb in mbs)
+
+    @given(instances())
+    def test_matches_the_blanket_of_each_post_intervention_graph(self, instance):
+        dag, target, family = instance
+        assert oracle_mbs(dag, target, family) == tuple(
+            dag.apply_intervention(s).markov_blanket(target) for s in family.sets
+        )
+
+    def test_unknown_names_are_rejected(self, fig2_dag):
+        with pytest.raises(ValueError, match="unknown variables"):
+            oracle_mbs(fig2_dag, "T", InterventionFamily([{"Q"}]))
+        with pytest.raises(ValueError, match="unknown variable"):
+            oracle_mbs(fig2_dag, "Q", InterventionFamily([set()]))
+
+
+@given(instances())
+def test_neighbourhood_matches_the_per_variable_references(instance):
+    dag, target, family = instance
+    nb = _Neighbourhood(dag, target)
+    assert nb.multi_spouses == _multi_spouses_reference(dag, target)
+    assert nb.partners == _collider_partners_reference(dag, target)
+    p = predict(dag, target, family)
+    assert p.mb == dag.markov_blanket(target)
+    assert p.children_and_spouses == dag.children(target) | nb.partners
 
 
 class TestClassification:
@@ -111,6 +176,13 @@ class TestVerification:
         for target in dag.variables:
             assert verify(dag, target, fam).passed
 
+    @given(instances())
+    def test_every_instance_passes(self, instance):
+        # the theory is exact for any family, not only the fuzzer's rows:
+        # one experiment, any regime, covered or not
+        report = verify(*instance)
+        assert report.passed, report.to_json_dict()
+
     def test_shared_spouse_leak_is_lawful(self):
         # both children covered yet the shared spouse survives the
         # intersection; the parents claim must tolerate exactly this
@@ -176,6 +248,7 @@ class TestFuzzer:
             ({"node_range": (0, 1)}, "two nodes or more"),
             ({"node_range": (5, 2)}, "node_range is reversed"),
             ({"n_datasets_range": (3, 2)}, "n_datasets_range is reversed"),
+            ({"n_datasets_range": (1, 3)}, "two datasets or more"),
         ],
     )
     def test_settings_that_fit_no_row_raise(self, kwargs, message):
@@ -194,6 +267,42 @@ class TestFuzzer:
             monkeypatch.setattr(mimb.theorems, name, counted)
         summary = fuzz_theorems(5, seed=3)
         assert calls["classify_regime"] == calls["verify"] == summary.total_trials == 60
+
+    def test_an_instance_outside_its_row_is_an_internal_error(self, monkeypatch):
+        # a family manipulating the target everywhere fits no zeta_zero row
+        monkeypatch.setattr(
+            mimb.theorems, "generate_intervention_family",
+            lambda dag, target, n, *args, **kwargs: InterventionFamily([{target}] * n),
+        )
+        with pytest.raises(RuntimeError, match=r"row 'union-zero-conservative' .*zeta_class='all'"):
+            fuzz_theorems(1)
+
+    def test_reports_do_not_depend_on_the_hash_seed(self):
+        # the verification walks sets: hash the first 100 reports of a fuzz
+        # run in subprocesses with forced hash seeds
+        script = (
+            "import hashlib, json\n"
+            "import mimb.theorems as t\n"
+            "h, reports, real = hashlib.sha256(), [], t.verify\n"
+            "def verify(*args):\n"
+            "    report = real(*args)\n"
+            "    reports.append(report)\n"
+            "    return report\n"
+            "t.verify = verify\n"
+            "t.fuzz_theorems(9, seed=5)\n"
+            "for r in reports[:100]: h.update(json.dumps(r.to_json_dict()).encode())\n"
+            "print(len(reports), h.hexdigest())\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "31337"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            outputs.add(proc.stdout.strip())
+        assert len(outputs) == 1
+        assert outputs.pop().startswith("108 ")
 
     def test_single_node_graphs_pass_vacuously(self):
         summary = fuzz_theorems(5, node_range=(1, 2), edge_prob=0.5,
