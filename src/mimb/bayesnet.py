@@ -102,10 +102,6 @@ class DatasetBundle:
     def schema(self) -> Schema:
         return self.datasets[0].schema
 
-    @property
-    def n(self) -> int:
-        return len(self.datasets)
-
     def __len__(self) -> int:
         return len(self.datasets)
 
@@ -125,7 +121,7 @@ class BayesianNetwork:
     Each CPT is a (n_parent_configurations, cardinality) array. Rows follow
     the declared parent order with the LAST parent varying fastest; within a
     row, columns follow the variable's state order. Row sums must be 1
-    within ``atol``.
+    within 1e-9.
     """
 
     __slots__ = ("dag", "schema", "cpts", "parent_orders")
@@ -136,7 +132,6 @@ class BayesianNetwork:
         states: Mapping[str, Sequence[str]],
         cpts: Mapping[str, np.ndarray],
         parent_orders: Mapping[str, Sequence[str]] | None = None,
-        atol: float = 1e-9,
     ):
         self.dag = dag
         missing = [v for v in dag.variables if v not in states]
@@ -173,7 +168,7 @@ class BayesianNetwork:
             if (table < 0).any():
                 raise ValueError(f"CPT for {v!r} contains negative probabilities")
             sums = table.sum(axis=1)
-            bad = np.nonzero(np.abs(sums - 1.0) > atol)[0]
+            bad = np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]
             if bad.size:
                 raise ValueError(
                     f"CPT row {int(bad[0])} for {v!r} sums to {sums[bad[0]]:.9g}, not 1"
@@ -288,10 +283,15 @@ def parse_network(text: str) -> BayesianNetwork:
                 raise ParseError(f"duplicate PARENTS declaration for {name!r}", lineno)
             if name in raw_cpts:
                 raise ParseError(f"PARENTS for {name!r} after its CPT", lineno)
-            for p in tokens[2:]:
+            listed = tuple(tokens[2:])
+            for p in listed:
                 if p not in states:
                     raise ParseError(f"unknown parent name {p!r}", lineno)
-            parents[name] = tuple(tokens[2:])
+            if name in listed:
+                raise ParseError(f"{name!r} is listed as its own parent", lineno)
+            if len(set(listed)) != len(listed):
+                raise ParseError(f"a parent of {name!r} is listed twice", lineno)
+            parents[name] = listed
         elif keyword == "CPT":
             if len(tokens) != 2:
                 raise ParseError("CPT takes exactly one variable name", lineno)
@@ -326,8 +326,8 @@ def parse_network(text: str) -> BayesianNetwork:
     )
 
 
-def format_network(bn: BayesianNetwork, precision: int = 12) -> str:
-    """Serialise a network in the format accepted by :func:`parse_network`."""
+def format_network(bn: BayesianNetwork) -> str:
+    """Serialise a network for :func:`parse_network`, probabilities to 12 significant digits."""
     lines: list[str] = []
     for v in bn.variables:
         lines.append("VAR " + v + " " + " ".join(bn.schema.states_of(v)))
@@ -337,7 +337,7 @@ def format_network(bn: BayesianNetwork, precision: int = 12) -> str:
     for v in bn.variables:
         lines.append("CPT " + v)
         for row in bn.cpts[v]:
-            lines.append(" ".join(format(p, f".{precision}g") for p in row))
+            lines.append(" ".join(format(p, ".12g") for p in row))
     return "\n".join(lines) + "\n"
 
 

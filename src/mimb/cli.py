@@ -25,6 +25,7 @@ from .hiton import baseline
 from .metrics import run_benchmark
 from .simulate import ConstraintError, generate_bundle, generate_intervention_family
 from .tabular import (
+    MANIFEST_NAME,
     apply_mask,
     discretize,
     family_from_manifest,
@@ -126,7 +127,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     _emit(
         {
             "manifest": str(manifest),
-            "n_datasets": bundle.n,
+            "n_datasets": len(bundle),
             "samples": args.samples,
             "interventions": [sorted(s) for s in family.sets],
         },
@@ -259,10 +260,11 @@ def cmd_split(args: argparse.Namespace) -> int:
             "label": args.label,
         },
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    path = out / MANIFEST_NAME
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     _emit(
         {
-            "manifest": str(out / "manifest.json"),
+            "manifest": str(path),
             "sizes": [low.n_rows, high.n_rows],
         },
         None,

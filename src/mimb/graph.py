@@ -123,23 +123,6 @@ class Dag:
         out -= {vi} | self._pa[vi] | self._ch[vi]
         return frozenset(self.variables[i] for i in out)
 
-    def descendants(self, v: str) -> frozenset[str]:
-        """All variables reachable from v by directed paths; excludes v."""
-        start = self._resolve(v)
-        seen: set[int] = set()
-        stack = list(self._ch[start])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self._ch[u])
-        return frozenset(self.variables[i] for i in seen)
-
-    def non_descendants(self, v: str) -> frozenset[str]:
-        """Complement of {v} and its descendants."""
-        desc = self.descendants(v)
-        return frozenset(u for u in self.variables if u != v and u not in desc)
-
     def markov_blanket(self, v: str) -> frozenset[str]:
         """Parents, children and spouses of v."""
         return self.parents(v) | self.children(v) | self.spouses(v)
@@ -247,10 +230,6 @@ class InterventionFamily:
         self.sets: tuple[frozenset[str], ...] = tuple(frozenset(s) for s in sets)
         if not self.sets:
             raise ValueError("an intervention family needs at least one experiment")
-
-    @property
-    def n(self) -> int:
-        return len(self.sets)
 
     def __len__(self) -> int:
         return len(self.sets)

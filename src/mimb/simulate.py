@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -36,19 +35,14 @@ class ConstraintError(ValueError):
     """Requested generation constraints cannot be satisfied jointly."""
 
 
-def random_dag(n_nodes: int, edge_prob: float, seed, names: Sequence[str] | None = None) -> Dag:
-    """Random DAG: a random order, then independent edge coin flips."""
+def random_dag(n_nodes: int, edge_prob: float, seed) -> Dag:
+    """Random DAG over X0..X{n_nodes-1}: a random order, then independent coin flips."""
     if n_nodes < 1:
         raise ValueError("n_nodes must be at least 1")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must be in [0, 1]")
     rng = _as_generator(seed)
-    if names is None:
-        names = tuple(f"X{i}" for i in range(n_nodes))
-    else:
-        names = tuple(names)
-        if len(names) != n_nodes:
-            raise ValueError("names must match n_nodes")
+    names = tuple(f"X{i}" for i in range(n_nodes))
     ordered = [names[i] for i in rng.permutation(n_nodes).tolist()]
     # one coin per pair in the order (i, j), i < j, of the ordered names;
     # a bulk draw yields the same doubles as one scalar draw per pair
@@ -62,25 +56,19 @@ def random_cpts(
     cardinality: int = 2,
     dirichlet_alpha: float = 1.0,
     seed=0,
-    state_labels: Sequence[str] | None = None,
 ) -> BayesianNetwork:
-    """Uniform-cardinality CPTs with symmetric-Dirichlet rows."""
+    """Uniform-cardinality CPTs over states s0, s1, ... with symmetric-Dirichlet rows."""
     if cardinality < 2:
         raise ValueError("cardinality must be at least 2")
     if not 0 < dirichlet_alpha < math.inf:
         raise ValueError("dirichlet_alpha must be finite and positive")
     rng = _as_generator(seed)
-    if state_labels is None:
-        state_labels = tuple(f"s{i}" for i in range(cardinality))
-    states = {v: tuple(state_labels) for v in dag.variables}
+    labels = tuple(f"s{i}" for i in range(cardinality))
     cpts = {}
-    orders = {}
     for v in dag.variables:
-        order = tuple(u for u in dag.variables if u in dag.parents(v))
-        n_rows = cardinality ** len(order)
+        n_rows = cardinality ** len(dag.parents(v))
         cpts[v] = rng.dirichlet(np.full(cardinality, dirichlet_alpha), size=n_rows)
-        orders[v] = order
-    return BayesianNetwork(dag, states, cpts, parent_orders=orders)
+    return BayesianNetwork(dag, dict.fromkeys(dag.variables, labels), cpts)
 
 
 def generate_intervention_family(

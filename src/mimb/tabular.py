@@ -240,7 +240,6 @@ def write_bundle(
     network: str | None = None,
     target: str | None = None,
     seed: int | None = None,
-    extra: Mapping | None = None,
 ) -> Path:
     """Write one CSV per dataset plus a JSON manifest; returns its path.
 
@@ -268,8 +267,6 @@ def write_bundle(
         "target": target,
         "seed": seed,
     }
-    if extra:
-        manifest.update(dict(extra))
     path = out / MANIFEST_NAME
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path

@@ -175,7 +175,7 @@ def oracle_mbs(dag: Dag, target: str, family: InterventionFamily) -> tuple[froze
 def classify_regime(dag: Dag, target: str, family: InterventionFamily) -> RegimeClassification:
     family.validate_names(dag.variables)
     zeta = family.zeta(target)
-    n = family.n
+    n = len(family)
     if zeta == 0:
         zeta_class = "zero"
     elif zeta == n:

@@ -50,6 +50,26 @@ class TestParser:
         with pytest.raises(ParseError, match="unknown parent name 'Z'"):
             parse_network("VAR A a b\nPARENTS A Z\nCPT A\n0.5 0.5\n")
 
+    @pytest.mark.parametrize(
+        "parents_line, message",
+        [
+            ("PARENTS B A A", "a parent of 'B' is listed twice"),
+            ("PARENTS A A", "'A' is listed as its own parent"),
+        ],
+    )
+    def test_bad_parents_line_carries_line(self, parents_line, message):
+        text = f"VAR A a b\nVAR B a b\n{parents_line}\nCPT A\n0.5 0.5\n"
+        with pytest.raises(ParseError, match=f"line 3: {message}") as info:
+            parse_network(text)
+        assert info.value.line == 3
+
+    def test_cycle_is_a_graph_error(self):
+        text = "VAR A a b\nVAR B a b\nPARENTS A B\nPARENTS B A\n"
+        text += "CPT A\n0.5 0.5\n0.5 0.5\nCPT B\n0.5 0.5\n0.5 0.5\n"
+        with pytest.raises(ValueError, match="cycle") as info:
+            parse_network(text)
+        assert not isinstance(info.value, ParseError)
+
     def test_missing_rows(self):
         with pytest.raises(ParseError, match="missing"):
             parse_network("VAR A a b\nVAR B a b\nPARENTS B A\nCPT B\n0.5 0.5\n")

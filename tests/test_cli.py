@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 
 import mimb.theorems
 from mimb import InterventionFamily, format_network, random_cpts, trace_example
-from mimb.cli import main
+from mimb.cli import build_parser, main
 
 TINY_NET = """\
 VAR A a b
@@ -35,6 +37,25 @@ def tiny_network(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def readme_cli_examples():
+    """The arguments of every ``mimb ...`` command in the README's bash
+    blocks, backslash-continued lines joined, split as a shell would."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = "\n".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("mimb ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
+def test_readme_cli_example_parses(argv):
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
+def test_readme_shows_every_subcommand():
+    commands = {argv[0] for argv in readme_cli_examples()}
+    assert commands == {"generate", "discover", "verify-theorems", "benchmark", "split"}
 
 
 class TestGenerateAndDiscover:
@@ -191,6 +212,13 @@ class TestExitCodes:
             "--n-datasets", 1, "--regime", "mid", "--out", tmp_path / "x",
         )
         assert code == 3
+
+    def test_bad_parents_line_is_an_input_error(self, tmp_path, capsys):
+        net = tmp_path / "bad.net"
+        net.write_text(TINY_NET.replace("PARENTS T A", "PARENTS T A A"))
+        code = run_cli("generate", "--network", net, "--target", "T", "--out", tmp_path / "x")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 4: a parent of 'T' is listed twice")
 
     @pytest.mark.parametrize(
         "command, flag, value, message",

@@ -42,11 +42,6 @@ class TestAccessors:
         assert fig2_dag.children("T") == {"B"}
         assert fig2_dag.spouses("T") == {"C"}
 
-    def test_chain_descendants(self):
-        dag = Dag(["A", "B", "C"], [("A", "B"), ("B", "C")])
-        assert dag.descendants("A") == {"B", "C"}
-        assert dag.non_descendants("C") == {"A", "B"}
-
     def test_root_has_no_parents(self, fig2_dag):
         assert fig2_dag.parents("A") == frozenset()
 

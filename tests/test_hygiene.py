@@ -4,7 +4,7 @@ private module-level function or class of the package is used by the
 package, so a helper goes with its last caller.
 
 ``mimb/__init__.py`` is left out of the import check, since its imports are
-the public re-exports.
+the public re-exports; ``mimb.__all__`` must list exactly those.
 """
 
 import ast
@@ -12,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import mimb
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "mimb").glob("*.py"))
@@ -100,3 +102,16 @@ def test_no_unreferenced_private_definitions():
 )
 def test_the_private_check_itself(sources, unreferenced):
     assert unreferenced_private_definitions(sources) == unreferenced
+
+
+def test_all_lists_exactly_the_reexports():
+    tree = ast.parse((ROOT / "src" / "mimb" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    # a name listed twice would make the sorted lists differ
+    assert sorted(mimb.__all__) == sorted(imported)
+    assert [name for name in mimb.__all__ if not hasattr(mimb, name)] == []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mimb import (
+    BayesianNetwork,
     ConstraintError,
     Dag,
     InterventionFamily,
@@ -17,7 +18,7 @@ from mimb import (
 def _regime_conservative(family, target):
     """The reference for the one conservativity rule: the family itself,
     or the family without the target when every experiment manipulates it."""
-    if family.zeta(target) == family.n:
+    if family.zeta(target) == len(family):
         return is_conservative(family.without(target))
     return is_conservative(family)
 
@@ -52,6 +53,35 @@ def test_random_dag_matches_the_per_pair_loop(n_nodes, edge_prob, seed):
     # the same graph, and the generator left in the same state
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     assert random_dag(n_nodes, edge_prob, fast) == _random_dag_reference(n_nodes, edge_prob, slow)
+    assert fast.random() == slow.random()
+
+
+def _random_cpts_reference(dag, cardinality, dirichlet_alpha, rng):
+    """The construction random_cpts replaced: explicit declaration-order
+    parent orders and ``s{i}`` labels."""
+    labels = tuple(f"s{i}" for i in range(cardinality))
+    states = {v: labels for v in dag.variables}
+    cpts = {}
+    orders = {}
+    for v in dag.variables:
+        order = tuple(u for u in dag.variables if u in dag.parents(v))
+        n_rows = cardinality ** len(order)
+        cpts[v] = rng.dirichlet(np.full(cardinality, dirichlet_alpha), size=n_rows)
+        orders[v] = order
+    return BayesianNetwork(dag, states, cpts, parent_orders=orders)
+
+
+@pytest.mark.parametrize("cardinality", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_random_cpts_matches_the_declaration_order_construction(cardinality, seed):
+    dag = random_dag(1 + seed * 2, 0.5, seed)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = random_cpts(dag, cardinality, 0.7, fast)
+    old = _random_cpts_reference(dag, cardinality, 0.7, slow)
+    assert new.schema == old.schema
+    assert new.parent_orders == old.parent_orders
+    for v in dag.variables:
+        assert np.array_equal(new.cpts[v], old.cpts[v])
     assert fast.random() == slow.random()
 
 
@@ -215,7 +245,7 @@ class TestBundles:
 
         fam = InterventionFamily([set(), set()])
         bundle = generate_bundle(alarm, fam, 200, seed=5)
-        assert bundle.n == 2
+        assert len(bundle) == 2
         assert bundle.interventions() == [frozenset(), frozenset()]
         assert bundle.schema.names == alarm.schema.names
 
