@@ -104,6 +104,20 @@ def _float_between(low: float, high: float):
     return parse
 
 
+def _discretize_spec(text: str) -> tuple[str, int]:
+    """An argparse type: ``VAR:BINS``, with BINS an integer of 2 or more."""
+    name, colon, bins = text.partition(":")
+    try:
+        count = int(bins)
+    except ValueError:
+        count = 0
+    if not colon or count < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected VAR:BINS with an integer BINS of 2 or more, got {text!r}"
+        )
+    return name, count
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     bn = _load_network(args.network)
     family = generate_intervention_family(
@@ -140,6 +154,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
     states = None
     network = None
+    net_path = None
     if manifest.get("network"):
         net_path = Path(manifest["network"])
         if not net_path.is_absolute():
@@ -151,8 +166,12 @@ def cmd_discover(args: argparse.Namespace) -> int:
             }
 
     if args.backend == "oracle":
-        if network is None:
+        if net_path is None:
             raise ValueError("oracle backend needs a manifest with a network file")
+        if network is None:
+            raise ValueError(
+                f"oracle backend: network file {str(net_path)!r} does not exist"
+            )
         family = family_from_manifest(manifest)
         backend = OracleBackend(network.dag, family)
     else:
@@ -239,11 +258,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     # the membership mask comes from the raw column; discretisation happens
     # afterwards on the whole table so both halves share bin boundaries
     mask = split_mask(table, args.by, threshold=args.threshold, label=args.label)
-    for spec in args.discretize or []:
-        name, _, bins = spec.partition(":")
-        if not bins:
-            raise ValueError(f"--discretize wants VAR:BINS, got {spec!r}")
-        table = discretize(table, name, int(bins))
+    for name, bins in args.discretize or []:
+        table = discretize(table, name, bins)
     low, high = apply_mask(table, mask, args.by)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -338,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by", required=True)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--label", default=None)
-    p.add_argument("--discretize", action="append", metavar="VAR:BINS")
+    p.add_argument(
+        "--discretize", action="append", type=_discretize_spec, metavar="VAR:BINS"
+    )
     p.add_argument("--target", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)

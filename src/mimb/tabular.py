@@ -4,11 +4,13 @@ tables for the observational-to-interventional workflow."""
 from __future__ import annotations
 
 import csv
+import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,18 +71,30 @@ class Table:
         return Table(self.columns, self.cells[:idx] + (cells,) + self.cells[idx + 1 :])
 
 
-def _stripped(col: tuple[str, ...]) -> tuple[str, ...]:
-    """The column with surrounding whitespace removed from every cell.
+def _dictionary_encode(
+    lines: Sequence[Sequence[str]], length: int
+) -> tuple[list[str], np.ndarray]:
+    """The distinct cells of ``lines`` (each ``length`` long) in first-seen
+    order, and each cell's index into them as a (len(lines), length) array."""
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # an unseen cell gets the next id
+    codes = np.fromiter(
+        map(ids.__getitem__, chain.from_iterable(lines)),
+        dtype=np.intp,
+        count=len(lines) * length,
+    )
+    return list(ids), codes.reshape(len(lines), length)
 
-    Each distinct label is stripped once and every cell then refers to
-    that one string, so the per-cell strings the parser made can be freed.
+
+def _read_coded(path: str | Path) -> tuple[tuple[str, ...], list[str], np.ndarray]:
+    """A CSV file as ``(columns, labels, codes)``: the stripped header, the
+    stripped label of each distinct raw cell, and the (n_rows, width) array
+    of each cell's index into ``labels``.
+
+    A UTF-8 byte-order mark before the header is dropped, and blank lines
+    are skipped.
     """
-    strip = {label: label.strip() for label in set(col)}
-    return tuple(map(strip.__getitem__, col))
-
-
-def read_table(path: str | Path) -> Table:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -93,15 +107,53 @@ def read_table(path: str | Path) -> Table:
     if set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)
         raise ValueError(f"row {i} has {len(rows[i])} cells, expected {width}")
-    cells = tuple(map(_stripped, zip(*rows))) if rows else ((),) * width
-    return Table(tuple(map(str.strip, header)), cells)
+    raw, codes = _dictionary_encode(rows, width)
+    return tuple(map(str.strip, header)), [cell.strip() for cell in raw], codes
+
+
+def _csv_fields(labels: Iterable[str]) -> list[str]:
+    """Each label as ``csv.writer`` writes it in a row of several fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((label, ""))
+        fields.append(buf.getvalue()[: -len(",\r\n")])
+    return fields
+
+
+def _write_coded(
+    path: str | Path, columns: Sequence[str], labels: Sequence[str], codes: np.ndarray
+) -> None:
+    """Write ``(columns, labels, codes)`` as the CSV that ``csv.writer``
+    writes row by row: each distinct label is quoted once, and each cell is
+    its label's field followed by a comma or, in the last column, the line
+    end."""
+    fields = _csv_fields(labels)
+    if codes.shape[1] == 1:
+        # csv.writer writes a row of one empty field as "", not as a blank line
+        fields = [f or '""' for f in fields]
+    sep = np.asarray([f + "," for f in fields], dtype=object)
+    end = np.asarray([f + "\r\n" for f in fields], dtype=object)
+    cells = np.empty(codes.shape, dtype=object)
+    cells[:, :-1] = sep[codes[:, :-1]]
+    cells[:, -1:] = end[codes[:, -1:]]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(columns)
+        fh.write("".join(cells.ravel().tolist()))
+
+
+def read_table(path: str | Path) -> Table:
+    columns, labels, codes = _read_coded(path)
+    pick = np.asarray(labels, dtype=object)
+    return Table(columns, tuple(map(tuple, pick[codes.T].tolist())))
 
 
 def write_table(table: Table, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.columns)
-        writer.writerows(zip(*table.cells))
+    labels, codes = _dictionary_encode(table.cells, table.n_rows)
+    _write_coded(path, table.columns, labels, codes.T)
 
 
 def _numeric(table: Table, name: str) -> np.ndarray:
@@ -194,15 +246,60 @@ def dataset_to_table(dataset: Dataset) -> Table:
     return Table(dataset.schema.names, cells)
 
 
-def _encode(name: str, col: tuple[str, ...], labels: tuple[str, ...]) -> np.ndarray:
-    """State indices of a column's cells; the first label outside
-    ``labels`` is an error naming its row."""
-    lookup = {label: i for i, label in enumerate(labels)}
-    unknown = set(col) - lookup.keys()
-    if unknown:
-        i = next(i for i, cell in enumerate(col) if cell in unknown)
-        raise ValueError(f"row {i}: label {col[i]!r} not among the states of {name!r}")
-    return np.fromiter(map(lookup.__getitem__, col), dtype=np.int64, count=len(col))
+def _ids_in(col: np.ndarray, n_labels: int) -> np.ndarray:
+    """The ascending label ids that occur in one column of codes."""
+    return np.flatnonzero(np.bincount(col, minlength=n_labels))
+
+
+def _observed_states(
+    coded: Sequence[tuple[tuple[str, ...], Sequence[str], np.ndarray]],
+) -> tuple[tuple[str, ...], ...]:
+    """Per column, the sorted union of its labels across coded tables
+    ``(columns, labels, codes)`` that share their columns."""
+    seen: list[set[str]] = [set() for _ in coded[0][0]]
+    for _, labels, codes in coded:
+        for found, col in zip(seen, codes.T):
+            found.update(labels[k] for k in _ids_in(col, len(labels)))
+    return tuple(tuple(sorted(found)) for found in seen)
+
+
+def _decode(
+    columns: tuple[str, ...],
+    states: tuple[tuple[str, ...], ...],
+    labels: Sequence[str],
+    codes: np.ndarray,
+    intervention: frozenset[str] | None,
+) -> Dataset:
+    """The Dataset of coded cells under each column's states.
+
+    Each column looks its label ids up in one small array of state indices
+    (-1 for an undeclared label); the first undeclared label is an error
+    naming its row.
+    """
+    schema = Schema(columns, states)
+    rows = np.empty(codes.shape, dtype=np.int64, order="F")
+    for j, (col, declared) in enumerate(zip(codes.T, states)):
+        index = {label: i for i, label in enumerate(declared)}
+        present = _ids_in(col, len(labels))
+        lookup = np.full(len(labels), -1, dtype=np.int64)
+        mapped = [index.get(labels[k], -1) for k in present]
+        lookup[present] = mapped
+        rows[:, j] = lookup[col]
+        if -1 in mapped:
+            i = int(np.argmax(rows[:, j] < 0))
+            raise ValueError(
+                f"row {i}: label {labels[col[i]]!r} not among the states of {columns[j]!r}"
+            )
+    return Dataset(schema, rows, intervention=intervention)
+
+
+def _declared_states(
+    columns: tuple[str, ...], states: Mapping[str, Iterable[str]]
+) -> tuple[tuple[str, ...], ...]:
+    missing = [c for c in columns if c not in states]
+    if missing:
+        raise ValueError(f"column {missing[0]!r} has no declared states")
+    return tuple(tuple(states[c]) for c in columns)
 
 
 def table_to_dataset(
@@ -216,18 +313,13 @@ def table_to_dataset(
     collected and ordered lexicographically, which keeps conversion
     deterministic across runs. With one, every column needs declared states.
     """
+    labels, codes = _dictionary_encode(table.cells, table.n_rows)
+    codes = codes.T
     if states is None:
-        labels = tuple(tuple(sorted(set(col))) for col in table.cells)
+        declared = _observed_states([(table.columns, labels, codes)])
     else:
-        missing = [c for c in table.columns if c not in states]
-        if missing:
-            raise ValueError(f"column {missing[0]!r} has no declared states")
-        labels = tuple(tuple(states[c]) for c in table.columns)
-    schema = Schema(table.columns, labels)
-    rows = np.empty((table.n_rows, len(table.columns)), dtype=np.int64, order="F")
-    for j, (name, col) in enumerate(zip(table.columns, table.cells)):
-        rows[:, j] = _encode(name, col, labels[j])
-    return Dataset(schema, rows, intervention=intervention)
+        declared = _declared_states(table.columns, states)
+    return _decode(table.columns, declared, labels, codes, intervention)
 
 
 # -- bundle manifests ----------------------------------------------------------
@@ -253,7 +345,10 @@ def write_bundle(
     names = []
     for i, dataset in enumerate(bundle):
         name = f"dataset_{i:02d}.csv"
-        write_table(dataset_to_table(dataset), out / name)
+        states = dataset.schema.states
+        offsets = np.cumsum([0, *map(len, states)])[:-1]
+        labels = [label for column in states for label in column]
+        _write_coded(out / name, dataset.schema.names, labels, dataset.rows + offsets)
         names.append(name)
     interventions = bundle.interventions()
     manifest = {
@@ -316,26 +411,26 @@ def load_bundle(
     """
     manifest = read_manifest(manifest_path)
     base = Path(manifest_path).parent
-    tables = [read_table(base / name) for name in manifest["datasets"]]
-    if not tables:
+    coded = [_read_coded(base / name) for name in manifest["datasets"]]
+    if not coded:
         raise ValueError(f"{manifest_path}: no datasets listed")
-    columns = tables[0].columns
-    for i, t in enumerate(tables[1:], start=1):
-        if t.columns != columns:
+    columns = coded[0][0]
+    for i, (other, _, _) in enumerate(coded[1:], start=1):
+        if other != columns:
             raise ValueError(f"dataset {i} columns differ from dataset 0")
     if states is None:
-        states = {
-            c: tuple(sorted(set().union(*(t.column(c) for t in tables))))
-            for c in columns
-        }
+        declared = _observed_states(coded)
+    else:
+        declared = _declared_states(columns, states)
     interventions = manifest.get("interventions")
     tags = (
-        [None] * len(tables)
+        [None] * len(coded)
         if interventions is None
         else [frozenset(s) for s in interventions]
     )
     return DatasetBundle(
-        table_to_dataset(t, states, intervention=tag) for t, tag in zip(tables, tags)
+        _decode(columns, declared, labels, codes, tag)
+        for (_, labels, codes), tag in zip(coded, tags)
     )
 
 

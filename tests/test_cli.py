@@ -259,6 +259,10 @@ class TestExitCodes:
                 ("0", "must be 1 or more"),
                 ("0-3", "must be 1 or more"),
             ]
+        ]
+        + [
+            ("split", "--discretize", spec, f"of 2 or more, got {spec!r}")
+            for spec in ("score", "score:x", "score:", "score:1", "score:2.5")
         ],
     )
     def test_bad_test_settings_are_input_errors(
@@ -270,6 +274,7 @@ class TestExitCodes:
             "benchmark": ["--network", tmp_path / "missing", "--target", "T"],
             "generate": ["--network", tmp_path / "missing", "--target", "T", "--out", tmp_path],
             "verify-theorems": [],
+            "split": ["--data", tmp_path / "missing", "--by", "score", "--out", tmp_path],
         }[command]
         with pytest.raises(SystemExit) as exc:
             run_cli(command, *required, flag, value)
@@ -324,6 +329,22 @@ class TestExitCodes:
         assert run_cli("discover", "--manifest", path, "--target", "T") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_oracle_names_a_missing_network_file(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("A,T\n" + "a,a\nb,b\na,b\nb,a\n" * 10)
+        path = tmp_path / "manifest.json"
+        path.write_text(
+            json.dumps({"datasets": ["d.csv"], "interventions": [[]], "network": "gone.net"})
+        )
+        assert run_cli(
+            "discover", "--manifest", path, "--target", "T", "--backend", "oracle"
+        ) == 2
+        missing = str(tmp_path / "gone.net")
+        assert capsys.readouterr().err == (
+            f"error: oracle backend: network file {missing!r} does not exist\n"
+        )
+        # the data backend falls back to the states it observes
+        assert run_cli("discover", "--manifest", path, "--target", "T") == 0
 
     def test_unparsable_csv_is_an_input_error(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text('A,T\n"a' + "x" * 200_000 + '",b\n')

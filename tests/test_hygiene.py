@@ -115,3 +115,44 @@ def test_all_lists_exactly_the_reexports():
     # a name listed twice would make the sorted lists differ
     assert sorted(mimb.__all__) == sorted(imported)
     assert [name for name in mimb.__all__ if not hasattr(mimb, name)] == []
+
+
+def csv_reader_calls(source: str) -> int:
+    """Calls of ``csv.reader`` (or of ``reader`` imported from ``csv``)."""
+    tree = ast.parse(source)
+    bare = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "csv"
+        for alias in node.names
+        if alias.name == "reader"
+    }
+
+    def is_reader(func: ast.expr) -> bool:
+        if isinstance(func, ast.Attribute):
+            return (
+                func.attr == "reader"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "csv"
+            )
+        return isinstance(func, ast.Name) and func.id in bare
+
+    return sum(isinstance(node, ast.Call) and is_reader(node.func) for node in ast.walk(tree))
+
+
+def test_one_csv_parser():
+    calls = {p.name: csv_reader_calls(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert {name: n for name, n in calls.items() if n} == {"tabular.py": 1}
+
+
+@pytest.mark.parametrize(
+    "source, calls",
+    [
+        ("import csv\ncsv.reader(f)\n", 1),
+        ("import csv\ncsv.writer(f)\nr = csv.reader\n", 0),
+        ("from csv import reader as parse\nparse(f)\nparse(g)\n", 2),
+        ("import csv\nx.reader(f)\n", 0),
+    ],
+)
+def test_the_csv_reader_check_itself(source, calls):
+    assert csv_reader_calls(source) == calls

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mimb import InterventionFamily, generate_bundle, parse_network
 from mimb.bayesnet import Dataset, DatasetBundle, Schema
 from mimb.tabular import (
+    MANIFEST_NAME,
     Table,
     dataset_to_table,
     discretize,
@@ -74,6 +75,27 @@ def _reference_table_to_dataset(columns, rows, states=None, intervention=None):
     return Dataset(schema, out, intervention=intervention)
 
 
+def _reference_load_bundle(manifest_path, states=None):
+    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    base = Path(manifest_path).parent
+    tables = [_reference_read_table(base / name) for name in manifest["datasets"]]
+    columns = tables[0][0]
+    union = {
+        c: tuple(sorted({row[j] for _, rows in tables for row in rows}))
+        for j, c in enumerate(columns)
+    }
+    interventions = manifest.get("interventions")
+    tags = (
+        [None] * len(tables)
+        if interventions is None
+        else [frozenset(s) for s in interventions]
+    )
+    return DatasetBundle(
+        _reference_table_to_dataset(*t, states or union, intervention=tag)
+        for t, tag in zip(tables, tags)
+    )
+
+
 def _outcome(fn, *args):
     """The value of a call, or the message of the ValueError it raised."""
     try:
@@ -89,6 +111,16 @@ def _same_dataset(a, b):
     assert a.schema == b.schema and a.intervention == b.intervention
     assert a.rows.dtype == np.int64 and a.rows.flags.f_contiguous
     assert np.array_equal(a.rows, b.rows)
+
+
+def _same_bundle(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+        return
+    assert a.interventions() == b.interventions()
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        _same_dataset(x, y)
 
 
 # labels that need CSV quoting: commas, double quotes, inner spaces
@@ -157,6 +189,21 @@ class TestTable:
         assert swapped.cells == (("3", "4"), ("a", "b")) and t.column("x") == ("1", "2")
         with pytest.raises(ValueError, match="wrong length"):
             t.replace_column("x", ["3"])
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "score,group\n1,a\n2,b\n"
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_table(tmp_path / "bom.csv") == read_table(tmp_path / "plain.csv")
+        assert read_table(tmp_path / "bom.csv").column("score") == ("1", "2")
+        bundles = []
+        for name in ("plain", "bom"):
+            manifest = tmp_path / f"{name}.json"
+            manifest.write_text(json.dumps({"datasets": [f"{name}.csv"]}))
+            bundles.append(load_bundle(manifest))
+        _same_bundle(*bundles)
+        assert bundles[1].schema.names == ("score", "group")
 
     def test_csv_round_trip(self, tmp_path):
         t = Table(("x", "y"), (("1", "2"), ("a", "b")))
@@ -335,26 +382,91 @@ class TestAgainstRowWiseReference:
         declared = dict(zip(bundle.schema.names, bundle.schema.states))
         with tempfile.TemporaryDirectory() as tmp:
             manifest = write_bundle(bundle, tmp)
-            tables = [_reference_read_table(Path(tmp) / f"dataset_{i:02d}.csv") for i in range(2)]
-            columns = tables[0][0]
-            union = {
-                c: tuple(sorted({row[j] for _, rows in tables for row in rows}))
-                for j, c in enumerate(columns)
-            }
             for states in (None, declared):
                 loaded = _outcome(load_bundle, manifest, states)
-                reference = _outcome(
-                    lambda: DatasetBundle(
-                        _reference_table_to_dataset(*t, states or union, intervention=tag)
-                        for t, tag in zip(tables, tags)
-                    )
-                )
-                if isinstance(loaded, str) or isinstance(reference, str):
-                    assert loaded == reference
-                    continue
-                assert loaded.interventions() == reference.interventions() == tags
-                for a, b in zip(loaded, reference):
-                    _same_dataset(a, b)
+                _same_bundle(loaded, _outcome(_reference_load_bundle, manifest, states))
+                assert isinstance(loaded, str) or loaded.interventions() == tags
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            (("x",), [("a",), ("",), ("b",), ("",)]),
+            (("x",), [("",), ("",)]),
+            (("x",), [("a,b",), ('say "hi"',), ("x\ny",), ("",)]),
+            (("x", "y"), [("a,b", ""), ('"', "x\ry"), ("", "")]),
+            (("x", "y", "z"), [("", "", ""), ("a", "", "b,c")]),
+        ],
+        ids=["one-column", "one-column-empty", "one-column-quoted", "two-quoted", "three-empty"],
+    )
+    def test_special_labels_match(self, columns, rows, tmp_path):
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        table = Table(columns, tuple(zip(*rows)))
+        write_table(table, new)
+        _reference_write_table(columns, rows, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        assert read_table(new) == table
+        assert _reference_read_table(new) == (columns, tuple(rows))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n1,2\r\n\r\n3,4\r5,6\n\n7,8",
+            "a,b\r\r\n1,2\n\r3,4\r\n",
+            "a\r\n\n\r1\r2\n\n",
+            'a,b\r\n"x\r\ny",2\n\n"p\nq",\r',
+        ],
+        ids=["lf-crlf-cr", "blank-first", "one-column", "quoted-line-ends"],
+    )
+    def test_mixed_line_ends_match(self, text, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(text.encode())
+        columns, rows = _reference_read_table(path)
+        table = read_table(path)
+        assert table.columns == columns
+        assert table.cells == tuple(zip(*rows))
+
+    def test_header_only_file_matches(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_bytes(b"a, b\r\n")
+        table = read_table(path)
+        assert table == Table(("a", "b"), ((), ()))
+        assert _reference_read_table(path) == (table.columns, ())
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps({"datasets": ["header.csv"]}))
+        for states in (None, {"a": ("p", "q"), "b": ("p", "q")}):
+            _same_bundle(
+                _outcome(load_bundle, tmp_path / MANIFEST_NAME, states),
+                _outcome(_reference_load_bundle, tmp_path / MANIFEST_NAME, states),
+            )
+
+    @pytest.mark.parametrize(
+        "states",
+        [None, {"x": ("a", "b"), "y": ("p", "q")}, {"x": ("a", "c"), "y": ("p", "q")}],
+        ids=["undeclared", "declared", "undeclared-label"],
+    )
+    def test_padded_duplicates_are_one_label(self, states, tmp_path):
+        (tmp_path / "d0.csv").write_text("x,y\n a,p\na,q\n b ,p\n")
+        (tmp_path / "d1.csv").write_text("x,y\nb,q \n  a,p\nb, p\n")
+        manifest = tmp_path / MANIFEST_NAME
+        manifest.write_text(json.dumps({"datasets": ["d0.csv", "d1.csv"]}))
+        loaded = _outcome(load_bundle, manifest, states)
+        _same_bundle(loaded, _outcome(_reference_load_bundle, manifest, states))
+        if states is None:
+            assert loaded.schema.states == (("a", "b"), ("p", "q"))
+
+    def test_alarm_bundle_matches(self, alarm, tmp_path):
+        family = InterventionFamily([set(), {"HR"}, {"VTUB", "CO"}])
+        bundle = generate_bundle(alarm, family, 2000, seed=11)
+        manifest = write_bundle(bundle, tmp_path)
+        for i, dataset in enumerate(bundle):
+            ref = tmp_path / f"ref_{i}.csv"
+            _reference_write_table(*_reference_dataset_to_table(dataset), ref)
+            assert (tmp_path / f"dataset_{i:02d}.csv").read_bytes() == ref.read_bytes()
+        declared = {v: alarm.schema.states_of(v) for v in alarm.variables}
+        for states in (None, declared):
+            loaded = load_bundle(manifest, states)
+            _same_bundle(loaded, _reference_load_bundle(manifest, states))
+        for a, b in zip(loaded, bundle):
+            assert np.array_equal(a.rows, b.rows)
 
     @settings(max_examples=60, deadline=None)
     @given(
