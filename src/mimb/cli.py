@@ -253,8 +253,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     table = read_table(args.data)
-    if args.threshold is None and args.label is None:
-        raise ValueError("give --threshold or --label")
     # the membership mask comes from the raw column; discretisation happens
     # afterwards on the whole table so both halves share bin boundaries
     mask = split_mask(table, args.by, threshold=args.threshold, label=args.label)
@@ -352,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="split one CSV into two interventional datasets")
     p.add_argument("--data", required=True)
     p.add_argument("--by", required=True)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--label", default=None)
+    rule = p.add_mutually_exclusive_group(required=True)
+    rule.add_argument("--threshold", type=float)
+    rule.add_argument("--label")
     p.add_argument(
         "--discretize", action="append", type=_discretize_spec, metavar="VAR:BINS"
     )

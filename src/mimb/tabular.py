@@ -8,7 +8,7 @@ import io
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -20,39 +20,53 @@ from .graph import InterventionFamily
 MANIFEST_NAME = "manifest.json"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """A raw CSV table held column-wise; every cell is a string until
-    discretised.
+    """A raw CSV table, dictionary-encoded; every cell is a string label
+    until discretised.
 
-    ``cells[j]`` is the tuple of labels of column ``columns[j]``, top to
-    bottom, so a column is one tuple and replacing it swaps one tuple.
+    ``labels`` holds the distinct labels, shared by all columns, and
+    ``codes[r, j]`` is the index into ``labels`` of the cell in row ``r``
+    of column ``columns[j]``. So string work happens once per label, and
+    rows move as integer arrays. Equality compares the column names and
+    the decoded cells, so label numbering does not matter.
     """
 
     columns: tuple[str, ...]
-    cells: tuple[tuple[str, ...], ...]
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    labels: tuple[str, ...]
+    codes: np.ndarray
+    _positions: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cells = tuple(tuple(c) for c in self.cells)
-        object.__setattr__(self, "cells", cells)
-        if len(cells) != len(self.columns):
+        columns, labels = tuple(self.columns), tuple(self.labels)
+        codes = np.asarray(self.codes, dtype=np.intp)
+        if codes.ndim != 2 or codes.shape[1] != len(columns):
             raise ValueError(
-                f"{len(cells)} columns of cells for {len(self.columns)} column names"
+                f"codes of shape {codes.shape} for {len(columns)} column names"
             )
-        for name, col in zip(self.columns, cells):
-            if len(col) != len(cells[0]):
-                raise ValueError(
-                    f"column {name!r} has {len(col)} cells, expected {len(cells[0])}"
-                )
+        if codes.size and not (0 <= codes.min() and codes.max() < len(labels)):
+            raise ValueError(f"a code does not index one of the {len(labels)} labels")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "codes", codes)
         positions: dict[str, int] = {}
-        for i, name in enumerate(self.columns):
+        for i, name in enumerate(columns):
             positions.setdefault(name, i)  # a repeated name means its first column
         object.__setattr__(self, "_positions", positions)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Table):
+            return NotImplemented
+        return self.columns == other.columns and np.array_equal(
+            self._decoded(), other._decoded()
+        )
+
+    def _decoded(self) -> np.ndarray:
+        return np.asarray(self.labels, dtype=object)[self.codes]
+
     @property
     def n_rows(self) -> int:
-        return len(self.cells[0]) if self.cells else 0
+        return self.codes.shape[0]
 
     def _index(self, name: str) -> int:
         try:
@@ -61,38 +75,21 @@ class Table:
             raise ValueError(f"unknown column {name!r}") from None
 
     def column(self, name: str) -> tuple[str, ...]:
-        return self.cells[self._index(name)]
-
-    def replace_column(self, name: str, cells: Iterable[str]) -> "Table":
-        idx = self._index(name)
-        cells = tuple(cells)
-        if len(cells) != self.n_rows:
-            raise ValueError("replacement column has the wrong length")
-        return Table(self.columns, self.cells[:idx] + (cells,) + self.cells[idx + 1 :])
+        col = self.codes[:, self._index(name)]
+        return tuple(map(self.labels.__getitem__, col.tolist()))
 
 
-def _dictionary_encode(
-    lines: Sequence[Sequence[str]], length: int
-) -> tuple[list[str], np.ndarray]:
-    """The distinct cells of ``lines`` (each ``length`` long) in first-seen
-    order, and each cell's index into them as a (len(lines), length) array."""
-    ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__  # an unseen cell gets the next id
-    codes = np.fromiter(
-        map(ids.__getitem__, chain.from_iterable(lines)),
-        dtype=np.intp,
-        count=len(lines) * length,
-    )
-    return list(ids), codes.reshape(len(lines), length)
+def _ids_in(col: np.ndarray, n_labels: int) -> np.ndarray:
+    """The ascending label ids that occur in one column of codes."""
+    return np.flatnonzero(np.bincount(col, minlength=n_labels))
 
 
-def _read_coded(path: str | Path) -> tuple[tuple[str, ...], list[str], np.ndarray]:
-    """A CSV file as ``(columns, labels, codes)``: the stripped header, the
-    stripped label of each distinct raw cell, and the (n_rows, width) array
-    of each cell's index into ``labels``.
+def read_table(path: str | Path) -> Table:
+    """A CSV file as a Table of its stripped header and stripped cells.
 
-    A UTF-8 byte-order mark before the header is dropped, and blank lines
-    are skipped.
+    One pass numbers the distinct raw cells in first-seen order, and each
+    is stripped once. A UTF-8 byte-order mark before the header is dropped,
+    and blank lines are skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -107,8 +104,18 @@ def _read_coded(path: str | Path) -> tuple[tuple[str, ...], list[str], np.ndarra
     if set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)
         raise ValueError(f"row {i} has {len(rows[i])} cells, expected {width}")
-    raw, codes = _dictionary_encode(rows, width)
-    return tuple(map(str.strip, header)), [cell.strip() for cell in raw], codes
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # an unseen cell gets the next id
+    codes = np.fromiter(
+        map(ids.__getitem__, chain.from_iterable(rows)),
+        dtype=np.intp,
+        count=len(rows) * width,
+    )
+    return Table(
+        tuple(map(str.strip, header)),
+        [cell.strip() for cell in ids],
+        codes.reshape(len(rows), width),
+    )
 
 
 def _csv_fields(labels: Iterable[str]) -> list[str]:
@@ -124,45 +131,39 @@ def _csv_fields(labels: Iterable[str]) -> list[str]:
     return fields
 
 
-def _write_coded(
-    path: str | Path, columns: Sequence[str], labels: Sequence[str], codes: np.ndarray
-) -> None:
-    """Write ``(columns, labels, codes)`` as the CSV that ``csv.writer``
-    writes row by row: each distinct label is quoted once, and each cell is
-    its label's field followed by a comma or, in the last column, the line
-    end."""
-    fields = _csv_fields(labels)
-    if codes.shape[1] == 1:
+def write_table(table: Table, path: str | Path) -> None:
+    """Write the CSV that ``csv.writer`` writes row by row: each label in
+    use is quoted once, and each cell is its label's field followed by a
+    comma or, in the last column, the line end."""
+    codes = table.codes
+    used = _ids_in(codes.ravel(), len(table.labels))
+    fields = _csv_fields(table.labels[k] for k in used)
+    if len(table.columns) == 1:
         # csv.writer writes a row of one empty field as "", not as a blank line
         fields = [f or '""' for f in fields]
-    sep = np.asarray([f + "," for f in fields], dtype=object)
-    end = np.asarray([f + "\r\n" for f in fields], dtype=object)
+    sep = np.empty(len(table.labels), dtype=object)
+    end = np.empty(len(table.labels), dtype=object)
+    sep[used] = [f + "," for f in fields]
+    end[used] = [f + "\r\n" for f in fields]
     cells = np.empty(codes.shape, dtype=object)
     cells[:, :-1] = sep[codes[:, :-1]]
     cells[:, -1:] = end[codes[:, -1:]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(columns)
+        csv.writer(fh).writerow(table.columns)
         fh.write("".join(cells.ravel().tolist()))
 
 
-def read_table(path: str | Path) -> Table:
-    columns, labels, codes = _read_coded(path)
-    pick = np.asarray(labels, dtype=object)
-    return Table(columns, tuple(map(tuple, pick[codes.T].tolist())))
-
-
-def write_table(table: Table, path: str | Path) -> None:
-    labels, codes = _dictionary_encode(table.cells, table.n_rows)
-    _write_coded(path, table.columns, labels, codes.T)
-
-
 def _numeric(table: Table, name: str) -> np.ndarray:
-    """A column parsed with ``float``, as a float64 array."""
-    cells = table.column(name)
+    """A column parsed with ``float``, as a float64 array; each distinct
+    label of the column is parsed once."""
+    col = table.codes[:, table._index(name)]
+    present = _ids_in(col, len(table.labels))
+    lookup = np.zeros(len(table.labels))
     try:
-        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        lookup[present] = [float(table.labels[k]) for k in present]
     except ValueError:
         raise ValueError(f"column {name!r} is not numeric") from None
+    return lookup[col]
 
 
 def discretize(table: Table, variable: str, bins: int) -> Table:
@@ -170,7 +171,8 @@ def discretize(table: Table, variable: str, bins: int) -> Table:
 
     Cut points sit at the empirical quantiles; a value equal to a cut point
     goes to the lower bin. The output labels are ``b0``..``b{bins-1}`` in
-    ascending value order; a constant column realises a single state.
+    ascending value order, appended to the table's labels; a constant
+    column realises a single state.
     """
     if bins < 2:
         raise ValueError("bins must be at least 2")
@@ -181,10 +183,11 @@ def discretize(table: Table, variable: str, bins: int) -> Table:
     n = len(ordered)
     cuts = ordered[[int(np.ceil(n * i / bins)) - 1 for i in range(1, bins)]]
     # the number of cuts strictly below each value; NaN is above none
-    codes = np.searchsorted(cuts, values, side="left")
-    codes[np.isnan(values)] = 0
-    labels = np.asarray([f"b{k}" for k in range(bins)], dtype=object)
-    return table.replace_column(variable, labels[codes].tolist())
+    binned = np.searchsorted(cuts, values, side="left")
+    binned[np.isnan(values)] = 0
+    codes = table.codes.copy()
+    codes[:, table._index(variable)] = len(table.labels) + binned
+    return Table(table.columns, table.labels + tuple(f"b{k}" for k in range(bins)), codes)
 
 
 def split_mask(
@@ -203,17 +206,17 @@ def split_mask(
         raise ValueError("give exactly one of threshold or label")
     if threshold is not None:
         return _numeric(table, by) < threshold
-    return np.fromiter(map(label.__eq__, table.column(by)), dtype=bool, count=table.n_rows)
+    hits = np.asarray([found == label for found in table.labels], dtype=bool)
+    return hits[table.codes[:, table._index(by)]]
 
 
 def apply_mask(table: Table, mask: np.ndarray, by: str) -> tuple[Table, Table]:
     keep = np.asarray(mask, dtype=bool)
     if keep.all() or not keep.any():
         raise ValueError(f"split on {by!r} leaves an empty partition")
-    first, second = keep.tolist(), (~keep).tolist()
     return (
-        Table(table.columns, tuple(tuple(compress(c, first)) for c in table.cells)),
-        Table(table.columns, tuple(tuple(compress(c, second)) for c in table.cells)),
+        Table(table.columns, table.labels, table.codes[keep]),
+        Table(table.columns, table.labels, table.codes[~keep]),
     )
 
 
@@ -238,68 +241,31 @@ def split_rows(
 
 
 def dataset_to_table(dataset: Dataset) -> Table:
-    """Each column's labels picked by one fancy index into its states."""
-    cells = tuple(
-        tuple(np.asarray(labels, dtype=object)[dataset.rows[:, j]].tolist())
-        for j, labels in enumerate(dataset.schema.states)
-    )
-    return Table(dataset.schema.names, cells)
+    """The dataset's state indices, offset per column into the
+    concatenation of every column's states."""
+    states = dataset.schema.states
+    offsets = np.cumsum([0, *map(len, states)])[:-1]
+    labels = [label for column in states for label in column]
+    return Table(dataset.schema.names, labels, dataset.rows + offsets)
 
 
-def _ids_in(col: np.ndarray, n_labels: int) -> np.ndarray:
-    """The ascending label ids that occur in one column of codes."""
-    return np.flatnonzero(np.bincount(col, minlength=n_labels))
-
-
-def _observed_states(
-    coded: Sequence[tuple[tuple[str, ...], Sequence[str], np.ndarray]],
+def _column_states(
+    tables: Sequence[Table], states: Mapping[str, Iterable[str]] | None
 ) -> tuple[tuple[str, ...], ...]:
-    """Per column, the sorted union of its labels across coded tables
-    ``(columns, labels, codes)`` that share their columns."""
-    seen: list[set[str]] = [set() for _ in coded[0][0]]
-    for _, labels, codes in coded:
-        for found, col in zip(seen, codes.T):
+    """Per column of tables that share their columns, its declared states
+    or, without a declaration, the sorted union of its labels."""
+    columns = tables[0].columns
+    if states is not None:
+        missing = [c for c in columns if c not in states]
+        if missing:
+            raise ValueError(f"column {missing[0]!r} has no declared states")
+        return tuple(tuple(states[c]) for c in columns)
+    seen: list[set[str]] = [set() for _ in columns]
+    for table in tables:
+        labels = table.labels
+        for found, col in zip(seen, table.codes.T):
             found.update(labels[k] for k in _ids_in(col, len(labels)))
     return tuple(tuple(sorted(found)) for found in seen)
-
-
-def _decode(
-    columns: tuple[str, ...],
-    states: tuple[tuple[str, ...], ...],
-    labels: Sequence[str],
-    codes: np.ndarray,
-    intervention: frozenset[str] | None,
-) -> Dataset:
-    """The Dataset of coded cells under each column's states.
-
-    Each column looks its label ids up in one small array of state indices
-    (-1 for an undeclared label); the first undeclared label is an error
-    naming its row.
-    """
-    schema = Schema(columns, states)
-    rows = np.empty(codes.shape, dtype=np.int64, order="F")
-    for j, (col, declared) in enumerate(zip(codes.T, states)):
-        index = {label: i for i, label in enumerate(declared)}
-        present = _ids_in(col, len(labels))
-        lookup = np.full(len(labels), -1, dtype=np.int64)
-        mapped = [index.get(labels[k], -1) for k in present]
-        lookup[present] = mapped
-        rows[:, j] = lookup[col]
-        if -1 in mapped:
-            i = int(np.argmax(rows[:, j] < 0))
-            raise ValueError(
-                f"row {i}: label {labels[col[i]]!r} not among the states of {columns[j]!r}"
-            )
-    return Dataset(schema, rows, intervention=intervention)
-
-
-def _declared_states(
-    columns: tuple[str, ...], states: Mapping[str, Iterable[str]]
-) -> tuple[tuple[str, ...], ...]:
-    missing = [c for c in columns if c not in states]
-    if missing:
-        raise ValueError(f"column {missing[0]!r} has no declared states")
-    return tuple(tuple(states[c]) for c in columns)
 
 
 def table_to_dataset(
@@ -312,14 +278,27 @@ def table_to_dataset(
     Without an explicit state declaration the labels of each column are
     collected and ordered lexicographically, which keeps conversion
     deterministic across runs. With one, every column needs declared states.
+    Each column looks its label ids up in one small array of state indices
+    (-1 for an undeclared label); the first undeclared label is an error
+    naming its row.
     """
-    labels, codes = _dictionary_encode(table.cells, table.n_rows)
-    codes = codes.T
-    if states is None:
-        declared = _observed_states([(table.columns, labels, codes)])
-    else:
-        declared = _declared_states(table.columns, states)
-    return _decode(table.columns, declared, labels, codes, intervention)
+    columns, labels, codes = table.columns, table.labels, table.codes
+    declared = _column_states([table], states)
+    schema = Schema(columns, declared)
+    rows = np.empty(codes.shape, dtype=np.int64, order="F")
+    for j, (col, column_states) in enumerate(zip(codes.T, declared)):
+        index = {label: i for i, label in enumerate(column_states)}
+        present = _ids_in(col, len(labels))
+        lookup = np.full(len(labels), -1, dtype=np.int64)
+        mapped = [index.get(labels[k], -1) for k in present]
+        lookup[present] = mapped
+        rows[:, j] = lookup[col]
+        if -1 in mapped:
+            i = int(np.argmax(rows[:, j] < 0))
+            raise ValueError(
+                f"row {i}: label {labels[col[i]]!r} not among the states of {columns[j]!r}"
+            )
+    return Dataset(schema, rows, intervention=intervention)
 
 
 # -- bundle manifests ----------------------------------------------------------
@@ -345,10 +324,7 @@ def write_bundle(
     names = []
     for i, dataset in enumerate(bundle):
         name = f"dataset_{i:02d}.csv"
-        states = dataset.schema.states
-        offsets = np.cumsum([0, *map(len, states)])[:-1]
-        labels = [label for column in states for label in column]
-        _write_coded(out / name, dataset.schema.names, labels, dataset.rows + offsets)
+        write_table(dataset_to_table(dataset), out / name)
         names.append(name)
     interventions = bundle.interventions()
     manifest = {
@@ -411,26 +387,22 @@ def load_bundle(
     """
     manifest = read_manifest(manifest_path)
     base = Path(manifest_path).parent
-    coded = [_read_coded(base / name) for name in manifest["datasets"]]
-    if not coded:
+    tables = [read_table(base / name) for name in manifest["datasets"]]
+    if not tables:
         raise ValueError(f"{manifest_path}: no datasets listed")
-    columns = coded[0][0]
-    for i, (other, _, _) in enumerate(coded[1:], start=1):
-        if other != columns:
+    columns = tables[0].columns
+    for i, table in enumerate(tables[1:], start=1):
+        if table.columns != columns:
             raise ValueError(f"dataset {i} columns differ from dataset 0")
-    if states is None:
-        declared = _observed_states(coded)
-    else:
-        declared = _declared_states(columns, states)
+    declared = dict(zip(columns, _column_states(tables, states)))
     interventions = manifest.get("interventions")
     tags = (
-        [None] * len(coded)
+        [None] * len(tables)
         if interventions is None
         else [frozenset(s) for s in interventions]
     )
     return DatasetBundle(
-        _decode(columns, declared, labels, codes, tag)
-        for (_, labels, codes), tag in zip(coded, tags)
+        table_to_dataset(table, declared, tag) for table, tag in zip(tables, tags)
     )
 
 

@@ -38,18 +38,22 @@ INTER_SUBSET_CH_SP = "subset-of-ch-sp"
 class RegimeClassification:
     """Exact regime flags recomputed from (graph, target, family).
 
-    The regime rules read ``conservative_minus_t``: the target escapes some
-    experiment unless zeta is n, so under zeta zero and mid it equals
-    ``conservative``, and under zeta all it is the condition the proofs need.
+    The regime rules read ``conservative_minus_t``, the condition the
+    proofs need. ``conservative`` follows from it: the target escapes some
+    experiment unless zeta is n, so the two agree under zeta zero and mid,
+    and a family that manipulates the target everywhere is not conservative.
     """
 
     zeta_t: int
     n: int
     zeta_class: str  # zero | mid | all
-    conservative: bool
     conservative_minus_t: bool
     children_covered: bool
     children_untouched: bool
+
+    @property
+    def conservative(self) -> bool:
+        return self.conservative_minus_t and self.zeta_class != "all"
 
 
 @dataclass(frozen=True)
@@ -75,13 +79,16 @@ class TheoremPrediction:
 @dataclass(frozen=True)
 class VerificationReport:
     target: str
-    classification: RegimeClassification
     prediction: TheoremPrediction
     mb_per_dataset: tuple[frozenset[str], ...]
     union_actual: frozenset[str]
     intersection_actual: frozenset[str]
     union_ok: bool
     intersection_ok: bool
+
+    @property
+    def classification(self) -> RegimeClassification:
+        return self.prediction.classification
 
     @property
     def passed(self) -> bool:
@@ -187,7 +194,6 @@ def classify_regime(dag: Dag, target: str, family: InterventionFamily) -> Regime
         zeta_t=zeta,
         n=n,
         zeta_class=zeta_class,
-        conservative=is_conservative(family),
         conservative_minus_t=is_conservative(family.without(target)),
         children_covered=children <= family.union_of_targets(),
         children_untouched=all(not (children & s) for s in family.sets),
@@ -309,7 +315,6 @@ def verify(dag: Dag, target: str, family: InterventionFamily) -> VerificationRep
 
     return VerificationReport(
         target=target,
-        classification=prediction.classification,
         prediction=prediction,
         mb_per_dataset=mbs,
         union_actual=union_actual,

@@ -283,6 +283,28 @@ class TestExitCodes:
         assert f"argument {flag}: " in err and message in err
 
     @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ([], "one of the arguments --threshold --label is required"),
+            (
+                ["--threshold", "1", "--label", "a"],
+                "argument --label: not allowed with argument --threshold",
+            ),
+        ],
+        ids=["neither", "both"],
+    )
+    def test_split_needs_exactly_one_rule_before_reading(self, rule, message, tmp_path, capsys):
+        # the data file does not exist: parsing must fail first
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "split", "--data", tmp_path / "missing.csv", "--by", "score",
+                "--out", tmp_path / "out", *rule,
+            )
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (["--nodes", "1"], "two nodes or more"),

@@ -117,42 +117,47 @@ def test_all_lists_exactly_the_reexports():
     assert [name for name in mimb.__all__ if not hasattr(mimb, name)] == []
 
 
-def csv_reader_calls(source: str) -> int:
-    """Calls of ``csv.reader`` (or of ``reader`` imported from ``csv``)."""
+def csv_calls(source: str) -> Counter:
+    """Calls of ``csv.reader`` and ``csv.writer`` (or of either imported
+    from ``csv``), counted by function name."""
     tree = ast.parse(source)
     bare = {
-        alias.asname or alias.name
+        alias.asname or alias.name: alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "csv"
         for alias in node.names
-        if alias.name == "reader"
     }
 
-    def is_reader(func: ast.expr) -> bool:
-        if isinstance(func, ast.Attribute):
-            return (
-                func.attr == "reader"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "csv"
-            )
-        return isinstance(func, ast.Name) and func.id in bare
+    def called(func: ast.expr) -> str | None:
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return func.attr if func.value.id == "csv" else None
+        return bare.get(func.id) if isinstance(func, ast.Name) else None
 
-    return sum(isinstance(node, ast.Call) and is_reader(node.func) for node in ast.walk(tree))
+    return Counter(
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (name := called(node.func)) in ("reader", "writer")
+    )
 
 
 def test_one_csv_parser():
-    calls = {p.name: csv_reader_calls(p.read_text(encoding="utf-8")) for p in PACKAGE}
-    assert {name: n for name, n in calls.items() if n} == {"tabular.py": 1}
+    # the CSV dialect lives in one module, which parses in one place
+    calls = {p.name: csv_calls(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert {name: dict(n) for name, n in calls.items() if n} == {
+        "tabular.py": {"reader": 1, "writer": 2}
+    }
 
 
 @pytest.mark.parametrize(
     "source, calls",
     [
-        ("import csv\ncsv.reader(f)\n", 1),
-        ("import csv\ncsv.writer(f)\nr = csv.reader\n", 0),
-        ("from csv import reader as parse\nparse(f)\nparse(g)\n", 2),
-        ("import csv\nx.reader(f)\n", 0),
+        ("import csv\ncsv.reader(f)\n", {"reader": 1}),
+        ("import csv\ncsv.writer(f)\nr = csv.reader\n", {"writer": 1}),
+        ("from csv import reader as parse\nparse(f)\nparse(g)\n", {"reader": 2}),
+        ("import csv\nx.reader(f)\nx.writer(f)\n", {}),
+        ("from csv import writer\nwriter(f).writerow(r)\nw = writer\n", {"writer": 1}),
+        ("from csv import writer as w, reader\nw(f)\nreader(g)\nw(h)\n", {"reader": 1, "writer": 2}),
     ],
 )
 def test_the_csv_reader_check_itself(source, calls):
-    assert csv_reader_calls(source) == calls
+    assert csv_calls(source) == calls

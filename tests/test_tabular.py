@@ -12,12 +12,14 @@ from mimb.bayesnet import Dataset, DatasetBundle, Schema
 from mimb.tabular import (
     MANIFEST_NAME,
     Table,
+    apply_mask,
     dataset_to_table,
     discretize,
     family_from_manifest,
     load_bundle,
     read_manifest,
     read_table,
+    split_mask,
     split_rows,
     table_to_dataset,
     write_bundle,
@@ -96,6 +98,14 @@ def _reference_load_bundle(manifest_path, states=None):
     )
 
 
+def _reference_bins(values, bins):
+    """Equal-frequency bin labels: the number of cut points below each value."""
+    ordered = np.sort(np.asarray(values))
+    n = len(ordered)
+    cuts = np.asarray([ordered[int(np.ceil(n * i / bins)) - 1] for i in range(1, bins)])
+    return tuple(f"b{int(np.sum(v > cuts))}" for v in values)
+
+
 def _outcome(fn, *args):
     """The value of a call, or the message of the ValueError it raised."""
     try:
@@ -160,16 +170,37 @@ CPT B
 """
 
 
+def table_of(columns, rows):
+    """A Table of string rows, its labels numbered in first-seen order."""
+    labels = list(dict.fromkeys(cell for row in rows for cell in row))
+    ids = {label: i for i, label in enumerate(labels)}
+    codes = np.array([[ids[cell] for cell in row] for row in rows], dtype=np.intp)
+    return Table(columns, labels, codes.reshape(len(rows), len(columns)))
+
+
 def numeric_table(values, name="v"):
-    return Table((name,), (tuple(str(x) for x in values),))
+    return table_of((name,), [(str(x),) for x in values])
 
 
 class TestTable:
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError, match="cells"):
-            Table(("a", "b"), (("1",),))
-        with pytest.raises(ValueError, match="column 'b' has 1 cells, expected 2"):
-            Table(("a", "b"), (("1", "2"), ("3",)))
+    def test_rejects_codes_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match=r"codes of shape \(1, 1\) for 2 column names"):
+            Table(("a", "b"), ("1",), [[0]])
+        with pytest.raises(ValueError, match=r"codes of shape \(2,\) for 2 column names"):
+            Table(("a", "b"), ("1",), [0, 0])
+
+    @pytest.mark.parametrize("code", [2, -1])
+    def test_rejects_a_code_outside_the_labels(self, code):
+        with pytest.raises(ValueError, match="a code does not index one of the 2 labels"):
+            Table(("a", "b"), ("p", "q"), [[0, 1], [code, 0]])
+
+    def test_equality_ignores_label_numbering(self):
+        t = Table(("x", "y"), ("a", "b"), [[0, 1], [1, 1]])
+        renumbered = Table(("x", "y"), ("b", "unused", "a", "b"), [[2, 0], [3, 0]])
+        assert t == renumbered and t == table_of(("x", "y"), [("a", "b"), ("b", "b")])
+        assert t != Table(("x", "y"), ("a", "b"), [[0, 1], [1, 0]])
+        assert t != Table(("x", "z"), ("a", "b"), [[0, 1], [1, 1]])
+        assert t != Table(("x", "y"), ("a", "b"), [[0, 1]])
 
     def test_ragged_csv_row_names_its_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -178,17 +209,14 @@ class TestTable:
             read_table(path)
 
     def test_unknown_column(self):
-        t = Table(("a",), (("1",),))
+        t = table_of(("a",), [("1",)])
         with pytest.raises(ValueError, match="unknown column"):
             t.column("z")
 
-    def test_columns_and_replacement(self):
-        t = Table(("x", "y"), (("1", "2"), ("a", "b")))
+    def test_columns(self):
+        t = table_of(("x", "y", "x"), [("1", "a", "p"), ("2", "b", "q")])
         assert t.n_rows == 2 and t.column("y") == ("a", "b")
-        swapped = t.replace_column("x", ["3", "4"])
-        assert swapped.cells == (("3", "4"), ("a", "b")) and t.column("x") == ("1", "2")
-        with pytest.raises(ValueError, match="wrong length"):
-            t.replace_column("x", ["3"])
+        assert t.column("x") == ("1", "2")  # a repeated name means its first column
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         text = "score,group\n1,a\n2,b\n"
@@ -206,11 +234,14 @@ class TestTable:
         assert bundles[1].schema.names == ("score", "group")
 
     def test_csv_round_trip(self, tmp_path):
-        t = Table(("x", "y"), (("1", "2"), ("a", "b")))
+        t = table_of(("x", "y"), [("1", "a"), ("2", "b")])
         path = tmp_path / "t.csv"
         write_table(t, path)
         assert path.read_bytes() == b"x,y\r\n1,a\r\n2,b\r\n"
         assert read_table(path) == t
+        # labels no cell uses are not written
+        write_table(Table(t.columns, ("a", '"', "2", "b", "1"), [[4, 0], [2, 3]]), path)
+        assert path.read_bytes() == b"x,y\r\n1,a\r\n2,b\r\n"
 
 
 class TestDiscretize:
@@ -238,11 +269,11 @@ class TestDiscretize:
 
     def test_rejects_non_numeric(self):
         with pytest.raises(ValueError, match="numeric"):
-            discretize(Table(("v",), (("x",),)), "v", 2)
+            discretize(table_of(("v",), [("x",)]), "v", 2)
 
     def test_rejects_empty_column(self):
         with pytest.raises(ValueError, match="no values"):
-            discretize(Table(("v",), ((),)), "v", 2)
+            discretize(table_of(("v",), []), "v", 2)
 
     def test_rejects_single_bin(self):
         with pytest.raises(ValueError):
@@ -251,13 +282,13 @@ class TestDiscretize:
 
 class TestSplit:
     def test_threshold_split_keeps_the_variable(self):
-        t = Table(("d", "o"), (tuple(str(i) for i in range(10)), ("x",) * 10))
+        t = table_of(("d", "o"), [(str(i), "x") for i in range(10)])
         low, high = split_rows(t, "d", threshold=4)
         assert low.n_rows == 4 and high.n_rows == 6
         assert "d" in low.columns and "d" in high.columns
 
     def test_label_split(self):
-        t = Table(("g",), (("m", "f", "m"),))
+        t = table_of(("g",), [("m",), ("f",), ("m",)])
         first, second = split_rows(t, "g", label="m")
         assert first.n_rows == 2 and second.n_rows == 1
 
@@ -285,12 +316,12 @@ class TestDatasetConversion:
         assert (back.rows == bundle[0].rows).all()
 
     def test_discovered_states_are_sorted(self):
-        t = Table(("x",), (("z", "a", "z"),))
+        t = table_of(("x",), [("z",), ("a",), ("z",)])
         ds = table_to_dataset(t)
         assert ds.schema.states_of("x") == ("a", "z")
 
     def test_unknown_label_is_an_error(self):
-        t = Table(("x",), (("weird",),))
+        t = table_of(("x",), [("weird",)])
         with pytest.raises(ValueError, match="not among the states"):
             table_to_dataset(t, {"x": ("a", "b")})
 
@@ -340,8 +371,7 @@ class TestAgainstRowWiseReference:
 
             table = read_table(new)
             columns, rows = _reference_read_table(new)
-        assert table.columns == columns
-        assert table.cells == tuple(zip(*rows))
+        assert table == table_of(columns, rows)
 
         declared = dict(zip(schema.names, schema.states))
         # a declaration that lacks one realised label of the first column
@@ -369,8 +399,7 @@ class TestAgainstRowWiseReference:
             _reference_write_table(header, body, path)
             table = read_table(path)
             columns, rows = _reference_read_table(path)
-        assert table.columns == columns
-        assert table.cells == (tuple(zip(*rows)) if rows else ((),) * width)
+        assert table == table_of(columns, rows)
 
     @settings(max_examples=30, deadline=None)
     @given(small_datasets(n_datasets=2), st.lists(_LABEL, max_size=2))
@@ -400,7 +429,7 @@ class TestAgainstRowWiseReference:
     )
     def test_special_labels_match(self, columns, rows, tmp_path):
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        table = Table(columns, tuple(zip(*rows)))
+        table = table_of(columns, rows)
         write_table(table, new)
         _reference_write_table(columns, rows, ref)
         assert new.read_bytes() == ref.read_bytes()
@@ -421,15 +450,13 @@ class TestAgainstRowWiseReference:
         path = tmp_path / "mixed.csv"
         path.write_bytes(text.encode())
         columns, rows = _reference_read_table(path)
-        table = read_table(path)
-        assert table.columns == columns
-        assert table.cells == tuple(zip(*rows))
+        assert read_table(path) == table_of(columns, rows)
 
     def test_header_only_file_matches(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_bytes(b"a, b\r\n")
         table = read_table(path)
-        assert table == Table(("a", "b"), ((), ()))
+        assert table == table_of(("a", "b"), [])
         assert _reference_read_table(path) == (table.columns, ())
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({"datasets": ["header.csv"]}))
         for states in (None, {"a": ("p", "q"), "b": ("p", "q")}):
@@ -483,9 +510,82 @@ class TestAgainstRowWiseReference:
     @example([float("nan"), 1.0, 2.0, 3.0, float("-inf")], 2)
     @example([0.5, float("nan"), float("inf"), float("nan")], 3)
     def test_discretize_matches_the_comparison_loop(self, values, bins):
-        table = Table(("v",), (tuple(repr(v) for v in values),))
-        ordered = np.sort(np.asarray(values))
-        n = len(ordered)
-        cuts = np.asarray([ordered[int(np.ceil(n * i / bins)) - 1] for i in range(1, bins)])
-        expected = tuple(f"b{int(np.sum(v > cuts))}" for v in values)
-        assert discretize(table, "v", bins).column("v") == expected
+        table = table_of(("v",), [(repr(v),) for v in values])
+        assert discretize(table, "v", bins).column("v") == _reference_bins(values, bins)
+
+
+_PAD = st.text(alphabet=" \t", max_size=2)
+_NUMBER = st.one_of(st.integers(-5, 5).map(float), st.floats(width=32)).map(repr)
+
+
+def _padded(label):
+    return st.tuples(_PAD, label, _PAD).map("".join)
+
+
+@st.composite
+def _split_inputs(draw):
+    """Raw rows of a numeric column v and a text column t, and a split
+    rule: a threshold on v, or a label of either column to pick in t."""
+    rows = draw(
+        st.lists(st.tuples(_padded(_NUMBER), _padded(_LABEL | _NUMBER)), min_size=1, max_size=12)
+    )
+    labels = [cell.strip() for row in rows for cell in row]
+    rule = draw(
+        st.tuples(st.just("v"), st.floats(-6, 6)) | st.tuples(st.just("t"), st.sampled_from(labels))
+    )
+    return rows, rule
+
+
+class TestSplitAgainstRowWiseReference:
+    """The path of ``mimb split --discretize v:BINS``: the mask comes from
+    the raw column, then the whole table is binned and both halves are
+    written. Its reference reads, bins, filters and writes row by row."""
+
+    @staticmethod
+    def _split(raw, rule, bins):
+        by, value = rule
+        table = read_table(raw)
+        mask = split_mask(table, by, **{"threshold" if by == "v" else "label": value})
+        halves = apply_mask(discretize(table, "v", bins), mask, by)
+        for i, half in enumerate(halves):
+            write_table(half, raw.with_name(f"new_{i}.csv"))
+        return [raw.with_name(f"new_{i}.csv").read_bytes() for i in range(2)]
+
+    @staticmethod
+    def _reference_split(raw, rule, bins):
+        by, value = rule
+        columns, rows = _reference_read_table(raw)
+        j = columns.index(by)
+        first = [float(row[j]) < value if by == "v" else row[j] == value for row in rows]
+        if all(first) or not any(first):
+            raise ValueError(f"split on {by!r} leaves an empty partition")
+        binned = _reference_bins([float(row[0]) for row in rows], bins)
+        rows = [(b,) + row[1:] for b, row in zip(binned, rows)]
+        out = []
+        for i, keep in enumerate((True, False)):
+            path = raw.with_name(f"ref_{i}.csv")
+            _reference_write_table(columns, [r for r, f in zip(rows, first) if f == keep], path)
+            out.append(path.read_bytes())
+        return out
+
+    @settings(max_examples=80, deadline=None)
+    @given(_split_inputs(), st.integers(2, 4))
+    @example(([("1.0", " a,b"), (" 2.0", 'say "hi" '), ("3.0\t", "a,b")], ("t", "a,b")), 2)
+    @example(([("1.0", "x"), ("2.0", "3.0"), ("3.0", "x")], ("v", 2.5)), 3)
+    @example(([("1.0", "x"), ("2.0", "y")], ("t", "1.0")), 2)
+    def test_split_halves_match(self, inputs, bins):
+        rows, rule = inputs
+        # the two columns share the file's labels, so a label may be a
+        # number in one column and text in the other
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = Path(tmp) / "raw.csv"
+            _reference_write_table(("v", "t"), rows, raw)
+            assert _outcome(self._split, raw, rule, bins) == _outcome(
+                self._reference_split, raw, rule, bins
+            )
+
+    def test_a_label_only_in_another_column_splits_nothing(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        _reference_write_table(("v", "t"), [("1.0", "x"), ("2.0", "y")], raw)
+        with pytest.raises(ValueError, match="split on 't' leaves an empty partition"):
+            self._split(raw, ("t", "1.0"), 2)

@@ -14,6 +14,7 @@ from mimb import (
     InterventionFamily,
     classify_regime,
     fuzz_theorems,
+    is_conservative,
     oracle_mbs,
     predict,
     random_dag,
@@ -126,6 +127,15 @@ class TestClassification:
         assert c.zeta_class == "zero"
         assert c.conservative
         assert c.children_covered and not c.children_untouched
+
+    @given(instances())
+    def test_conservative_is_the_family_check(self, instance):
+        # derived from conservative_minus_t and the zeta class, it must
+        # agree with checking the whole family, target included
+        dag, target, family = instance
+        c = classify_regime(dag, target, family)
+        assert c.conservative == is_conservative(family)
+        assert verify(dag, target, family).classification == c
 
 
 class TestPrediction:
