@@ -21,12 +21,16 @@ from mimb import (
     verify,
 )
 from mimb.theorems import (
+    INTER_BETWEEN_PA_AND_MB,
     INTER_EMPTY,
+    INTER_EQUALS_CH_SP,
     INTER_EQUALS_MB,
     INTER_EQUALS_PA,
+    INTER_SUBSET_CH_SP,
     UNION_BETWEEN_PA_AND_MB,
     UNION_EQUALS_CH_SP,
     UNION_EQUALS_MB,
+    UNION_SUBSET_CH_SP,
     _Neighbourhood,
 )
 
@@ -211,6 +215,45 @@ class TestVerification:
         assert report.intersection_actual == {"c"}
         assert report.passed
 
+    def test_a_stranger_in_every_blanket_fails_both_checks(self, monkeypatch):
+        # every real instance passes, so show that each relation's check
+        # can fail: one variable outside the target's blanket, added to
+        # every per-dataset blanket, lands in the union and the
+        # intersection and breaks every relation on both axes
+        instances, real_verify = [], mimb.theorems.verify
+
+        def recording(*args):
+            instances.append(args)
+            return real_verify(*args)
+
+        monkeypatch.setattr(mimb.theorems, "verify", recording)
+        fuzz_theorems(20, seed=3)
+
+        stranger, real_blankets = None, _Neighbourhood.blankets
+        monkeypatch.setattr(
+            _Neighbourhood, "blankets",
+            lambda nb, family: tuple(mb | {stranger} for mb in real_blankets(nb, family)),
+        )
+        relations = {"union": set(), "intersection": set()}
+        checked = 0
+        for dag, target, family in instances:
+            outside = set(dag.variables) - dag.markov_blanket(target) - {target}
+            if not outside:
+                continue
+            stranger = min(outside)
+            report = real_verify(dag, target, family).to_json_dict()
+            assert not report["union_ok"] and not report["intersection_ok"], report
+            for axis, names in relations.items():
+                names.add(report["predicted"][axis])
+            checked += 1
+        assert checked > 200
+        assert relations == {
+            "union": {UNION_EQUALS_MB, UNION_BETWEEN_PA_AND_MB,
+                      UNION_EQUALS_CH_SP, UNION_SUBSET_CH_SP},
+            "intersection": {INTER_EQUALS_PA, INTER_EQUALS_MB, INTER_BETWEEN_PA_AND_MB,
+                             INTER_EMPTY, INTER_EQUALS_CH_SP, INTER_SUBSET_CH_SP},
+        }
+
     def test_report_serialises(self, fig2_dag, fig2_family):
         report = verify(fig2_dag, "T", fig2_family)
         payload = json.loads(json.dumps(report.to_json_dict()))
@@ -312,7 +355,9 @@ class TestFuzzer:
             )
             outputs.add(proc.stdout.strip())
         assert len(outputs) == 1
-        assert outputs.pop().startswith("108 ")
+        assert outputs.pop() == (
+            "108 c5645044a24857dba12aa6721b013477867449e5ff1b50d287054b602098d706"
+        )
 
     def test_single_node_graphs_pass_vacuously(self):
         summary = fuzz_theorems(5, node_range=(1, 2), edge_prob=0.5,
