@@ -51,12 +51,10 @@ from .simulate import (
 from .theorems import (
     FuzzSummary,
     RegimeClassification,
-    TheoremPrediction,
     VerificationReport,
     classify_regime,
     fuzz_theorems,
     oracle_mbs,
-    predict,
     verify,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "Scores",
     "SingleMbResult",
     "TestLedger",
-    "TheoremPrediction",
     "VerificationReport",
     "baseline",
     "brute_force_d_separated",
@@ -105,7 +102,6 @@ __all__ = [
     "mipc",
     "oracle_mbs",
     "parse_network",
-    "predict",
     "random_cpts",
     "random_dag",
     "randomize_manipulated_cpts",

@@ -293,27 +293,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="sample an interventional bundle from a network")
-    p.add_argument("--network", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--n-datasets", type=_int_at_least(1), default=5)
-    p.add_argument("--samples", type=_int_at_least(1), default=5000)
-    p.add_argument("--regime", choices=["zeta0", "mid", "all"], default="zeta0")
-    p.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--cover-children", action="store_true")
-    p.add_argument("--max-targets", type=_int_at_least(1), default=None)
+    # how generate and benchmark sample a bundle from a network
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--network", required=True)
+    sampling.add_argument("--target", required=True)
+    sampling.add_argument("--n-datasets", type=_int_at_least(1), default=5)
+    sampling.add_argument("--samples", type=_int_at_least(1), default=5000)
+    sampling.add_argument("--regime", choices=["zeta0", "mid", "all"], default="zeta0")
+    sampling.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
+    sampling.add_argument("--cover-children", action="store_true")
+    sampling.add_argument("--max-targets", type=_int_at_least(1), default=None)
+    sampling.add_argument("--seed", type=int, default=0)
+
+    # how discover and benchmark run the conditional independence tests
+    testing = argparse.ArgumentParser(add_help=False)
+    testing.add_argument("--alpha", type=_float_between(0, 1), default=0.01)
+    testing.add_argument("--max-cond", type=_int_at_least(0), default=3)
+    testing.add_argument("--symmetry", action="store_true")
+
+    p = sub.add_parser(
+        "generate", parents=[sampling], help="sample an interventional bundle from a network"
+    )
     p.add_argument("--alpha-dirichlet", type=_float_between(0, math.inf), default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("discover", help="run a discovery algorithm on a bundle")
+    p = sub.add_parser(
+        "discover", parents=[testing], help="run a discovery algorithm on a bundle"
+    )
     p.add_argument("--manifest", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--algo", choices=["mimb", "baseline"], default="mimb")
-    p.add_argument("--alpha", type=_float_between(0, 1), default=0.01)
-    p.add_argument("--max-cond", type=_int_at_least(0), default=3)
-    p.add_argument("--symmetry", action="store_true")
     p.add_argument("--backend", choices=["data", "oracle"], default="data")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_discover)
@@ -329,21 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_theorems)
 
-    p = sub.add_parser("benchmark", help="repeat the synthetic protocol and score it")
-    p.add_argument("--network", required=True)
-    p.add_argument("--target", required=True)
+    p = sub.add_parser(
+        "benchmark",
+        parents=[sampling, testing],
+        help="repeat the synthetic protocol and score it",
+    )
     p.add_argument("--algo", choices=["mimb", "baseline", "both"], default="both")
-    p.add_argument("--n-datasets", type=_int_at_least(1), default=5)
-    p.add_argument("--samples", type=_int_at_least(1), default=5000)
-    p.add_argument("--regime", choices=["zeta0", "mid", "all"], default="zeta0")
-    p.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--cover-children", action="store_true")
-    p.add_argument("--alpha", type=_float_between(0, 1), default=0.01)
-    p.add_argument("--max-cond", type=_int_at_least(0), default=3)
-    p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--max-targets", type=_int_at_least(1), default=None)
     p.add_argument("--reps", type=_int_at_least(1), default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_benchmark)
 

@@ -103,7 +103,7 @@ def read_table(path: str | Path) -> Table:
     width = len(header)
     if set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise ValueError(f"row {i} has {len(rows[i])} cells, expected {width}")
+        raise ValueError(f"{path}: row {i} has {len(rows[i])} cells, expected {width}")
     ids: defaultdict[str, int] = defaultdict()
     ids.default_factory = ids.__len__  # an unseen cell gets the next id
     codes = np.fromiter(
@@ -387,13 +387,14 @@ def load_bundle(
     """
     manifest = read_manifest(manifest_path)
     base = Path(manifest_path).parent
-    tables = [read_table(base / name) for name in manifest["datasets"]]
-    if not tables:
+    paths = [base / name for name in manifest["datasets"]]
+    if not paths:
         raise ValueError(f"{manifest_path}: no datasets listed")
+    tables = [read_table(path) for path in paths]
     columns = tables[0].columns
-    for i, table in enumerate(tables[1:], start=1):
+    for path, table in zip(paths[1:], tables[1:]):
         if table.columns != columns:
-            raise ValueError(f"dataset {i} columns differ from dataset 0")
+            raise ValueError(f"{path}: columns differ from those of {paths[0]}")
     declared = dict(zip(columns, _column_states(tables, states)))
     interventions = manifest.get("interventions")
     tags = (

@@ -2,15 +2,13 @@
 Markov blankets can recover, as a function of the manipulation regime.
 
 Everything here is graph-level: per-dataset blankets are read exactly off
-the intact graph under each experiment's surgery, the expected relation is
-predicted from the regime classification, and the two are compared. The
-fuzzer drives this over thousands of random (graph, target, family)
-instances per regime row.
+the intact graph under each experiment's surgery and checked against the
+relations the regime classification promises. The fuzzer drives this over
+thousands of random (graph, target, family) instances per regime row.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +55,9 @@ class RegimeClassification:
 
 
 @dataclass(frozen=True)
-class TheoremPrediction:
-    """Predicted relations plus the reference sets they refer to.
+class VerificationReport:
+    """One instance's regime, promised relations, reference sets and the
+    per-dataset blankets checked against them.
 
     ``children_and_spouses`` uses the collider-partner reading of spouse:
     every parent of a child of the target other than the target itself,
@@ -68,18 +67,13 @@ class TheoremPrediction:
     spouses whenever no variable plays two roles at once.
     """
 
+    target: str
     classification: RegimeClassification
     union_relation: str
     intersection_relation: str
     mb: frozenset[str]
     parents: frozenset[str]
     children_and_spouses: frozenset[str]
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    target: str
-    prediction: TheoremPrediction
     mb_per_dataset: tuple[frozenset[str], ...]
     union_actual: frozenset[str]
     intersection_actual: frozenset[str]
@@ -87,16 +81,11 @@ class VerificationReport:
     intersection_ok: bool
 
     @property
-    def classification(self) -> RegimeClassification:
-        return self.prediction.classification
-
-    @property
     def passed(self) -> bool:
         return self.union_ok and self.intersection_ok
 
     def to_json_dict(self) -> dict:
         c = self.classification
-        p = self.prediction
         return {
             "target": self.target,
             "regime": {
@@ -109,11 +98,11 @@ class VerificationReport:
                 "children_untouched": c.children_untouched,
             },
             "predicted": {
-                "union": p.union_relation,
-                "intersection": p.intersection_relation,
-                "mb": sorted(p.mb),
-                "parents": sorted(p.parents),
-                "children_and_spouses": sorted(p.children_and_spouses),
+                "union": self.union_relation,
+                "intersection": self.intersection_relation,
+                "mb": sorted(self.mb),
+                "parents": sorted(self.parents),
+                "children_and_spouses": sorted(self.children_and_spouses),
             },
             "actual": {
                 "mb_per_dataset": [sorted(s) for s in self.mb_per_dataset],
@@ -200,8 +189,9 @@ def classify_regime(dag: Dag, target: str, family: InterventionFamily) -> Regime
     )
 
 
-def predict(dag: Dag, target: str, family: InterventionFamily) -> TheoremPrediction:
-    """Map the regime to the relations the theory promises.
+def verify(dag: Dag, target: str, family: InterventionFamily) -> VerificationReport:
+    """Check the exact per-dataset blankets against the relations the theory
+    promises for the instance's regime.
 
     Union axis: while the target escapes manipulation somewhere, a
     conservative family recovers the whole blanket and a non-conservative
@@ -216,43 +206,6 @@ def predict(dag: Dag, target: str, family: InterventionFamily) -> TheoremPredict
     manipulated anywhere the parents drop out: covered children force the
     empty set, untouched children leave exactly children plus spouses, and
     partial coverage only bounds it by children plus spouses.
-    """
-    return _predict(classify_regime(dag, target, family), _Neighbourhood(dag, target))
-
-
-def _predict(c: RegimeClassification, nb: _Neighbourhood) -> TheoremPrediction:
-    if c.zeta_class in ("zero", "mid"):
-        union = UNION_EQUALS_MB if c.conservative_minus_t else UNION_BETWEEN_PA_AND_MB
-    else:
-        union = UNION_EQUALS_CH_SP if c.conservative_minus_t else UNION_SUBSET_CH_SP
-
-    if c.zeta_class == "zero":
-        if c.children_covered:
-            inter = INTER_EQUALS_PA
-        elif c.children_untouched:
-            inter = INTER_EQUALS_MB
-        else:
-            inter = INTER_BETWEEN_PA_AND_MB
-    else:
-        if c.children_covered:
-            inter = INTER_EMPTY
-        elif c.children_untouched:
-            inter = INTER_EQUALS_CH_SP
-        else:
-            inter = INTER_SUBSET_CH_SP
-
-    return TheoremPrediction(
-        classification=c,
-        union_relation=union,
-        intersection_relation=inter,
-        mb=nb.parents | nb.children | nb.partners,
-        parents=nb.parents,
-        children_and_spouses=nb.children | nb.partners,
-    )
-
-
-def verify(dag: Dag, target: str, family: InterventionFamily) -> VerificationReport:
-    """Check the exact per-dataset blankets against the predicted relation.
 
     Each relation is asserted in the strongest form the proofs support:
 
@@ -264,61 +217,62 @@ def verify(dag: Dag, target: str, family: InterventionFamily) -> VerificationRep
       variables that can lawfully leak through a second role: a child that
       also parents a sibling child, a parent that also parents a child, or
       a spouse shared by two or more children. Whenever no such dual-role
-      variable exists the equalities are asserted exactly.
+      variable exists nothing is tolerated and the equalities hold exactly.
     """
     c = classify_regime(dag, target, family)  # validates the family's names
     nb = _Neighbourhood(dag, target)
-    prediction = _predict(c, nb)
     mbs = nb.blankets(family)
-    union_actual, inter_actual = union_and_intersection(mbs)
+    union, inter = union_and_intersection(mbs)
 
-    mb, pa, ch_sp = prediction.mb, prediction.parents, prediction.children_and_spouses
-    children, partners, multi = nb.children, nb.partners, nb.multi_spouses
+    pa, children, partners = nb.parents, nb.children, nb.partners
+    ch_sp = children | partners
+    mb = pa | ch_sp
     stuck = children.intersection(*family.sets)  # children manipulated everywhere
     unrecoverable = stuck - partners  # stuck children with no spouse role
 
-    rel = prediction.union_relation
-    if rel == UNION_EQUALS_MB:
-        union_ok = union_actual == mb
-    elif rel == UNION_BETWEEN_PA_AND_MB:
-        union_ok = pa <= union_actual <= mb and not (union_actual & unrecoverable)
-        if not stuck:
-            union_ok = union_ok and union_actual == mb
-    elif rel == UNION_EQUALS_CH_SP:
-        union_ok = union_actual == ch_sp
-    else:  # UNION_SUBSET_CH_SP
-        union_ok = union_actual <= ch_sp and not (union_actual & unrecoverable)
+    if c.zeta_class != "all":  # the target escapes manipulation somewhere
+        if c.conservative_minus_t:
+            union_rel, union_ok = UNION_EQUALS_MB, union == mb
+        else:
+            union_rel = UNION_BETWEEN_PA_AND_MB
+            union_ok = pa <= union <= mb and not (union & unrecoverable)
+            if not stuck:
+                union_ok = union_ok and union == mb
+    elif c.conservative_minus_t:
+        union_rel, union_ok = UNION_EQUALS_CH_SP, union == ch_sp
+    else:
+        union_rel = UNION_SUBSET_CH_SP
+        union_ok = union <= ch_sp and not (union & unrecoverable)
         if children and stuck == children:
-            union_ok = union_ok and not union_actual
-    union_ok = bool(union_ok)
+            union_ok = union_ok and not union
 
-    rel = prediction.intersection_relation
-    if rel == INTER_EQUALS_PA:
-        leakage = (children & partners) | multi
-        inter_ok = pa <= inter_actual and inter_actual - pa <= leakage
-        if not leakage:
-            inter_ok = inter_ok and inter_actual == pa
-    elif rel == INTER_EQUALS_MB:
-        inter_ok = inter_actual == mb
-    elif rel == INTER_BETWEEN_PA_AND_MB:
-        inter_ok = pa <= inter_actual <= mb
-    elif rel == INTER_EMPTY:
-        leakage = (partners & (pa | children)) | multi
-        inter_ok = inter_actual <= leakage
-        if not leakage:
-            inter_ok = inter_ok and not inter_actual
-    elif rel == INTER_EQUALS_CH_SP:
-        inter_ok = inter_actual == ch_sp
-    else:  # INTER_SUBSET_CH_SP
-        inter_ok = inter_actual <= ch_sp
-    inter_ok = bool(inter_ok)
+    if c.zeta_class == "zero":
+        if c.children_covered:
+            leakage = (children & partners) | nb.multi_spouses
+            inter_rel, inter_ok = INTER_EQUALS_PA, pa <= inter and inter - pa <= leakage
+        elif c.children_untouched:
+            inter_rel, inter_ok = INTER_EQUALS_MB, inter == mb
+        else:
+            inter_rel, inter_ok = INTER_BETWEEN_PA_AND_MB, pa <= inter <= mb
+    elif c.children_covered:
+        leakage = (partners & (pa | children)) | nb.multi_spouses
+        inter_rel, inter_ok = INTER_EMPTY, inter <= leakage
+    elif c.children_untouched:
+        inter_rel, inter_ok = INTER_EQUALS_CH_SP, inter == ch_sp
+    else:
+        inter_rel, inter_ok = INTER_SUBSET_CH_SP, inter <= ch_sp
 
     return VerificationReport(
         target=target,
-        prediction=prediction,
+        classification=c,
+        union_relation=union_rel,
+        intersection_relation=inter_rel,
+        mb=mb,
+        parents=pa,
+        children_and_spouses=ch_sp,
         mb_per_dataset=mbs,
-        union_actual=union_actual,
-        intersection_actual=inter_actual,
+        union_actual=union,
+        intersection_actual=inter,
         union_ok=union_ok,
         intersection_ok=inter_ok,
     )
@@ -392,9 +346,6 @@ class FuzzSummary:
             "total_failures": self.total_failures,
             "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _witness(dag: Dag, target: str, family: InterventionFamily, report: VerificationReport) -> dict:

@@ -368,6 +368,22 @@ class TestExitCodes:
         # the data backend falls back to the states it observes
         assert run_cli("discover", "--manifest", path, "--target", "T") == 0
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ("A,B\na,a\n", "{d1}: columns differ from those of {d0}"),
+            ("A,T\na,a\nb\n", "{d1}: row 1 has 1 cells, expected 2"),
+        ],
+    )
+    def test_a_bad_bundle_csv_is_named(self, second, message, tmp_path, capsys):
+        (tmp_path / "d0.csv").write_text("A,T\na,a\nb,b\n")
+        (tmp_path / "d1.csv").write_text(second)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"datasets": ["d0.csv", "d1.csv"]}))
+        assert run_cli("discover", "--manifest", path, "--target", "T") == 2
+        message = message.format(d0=tmp_path / "d0.csv", d1=tmp_path / "d1.csv")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unparsable_csv_is_an_input_error(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text('A,T\n"a' + "x" * 200_000 + '",b\n')
         path = tmp_path / "manifest.json"

@@ -16,7 +16,6 @@ from mimb import (
     fuzz_theorems,
     is_conservative,
     oracle_mbs,
-    predict,
     random_dag,
     verify,
 )
@@ -107,7 +106,7 @@ def test_neighbourhood_matches_the_per_variable_references(instance):
     nb = _Neighbourhood(dag, target)
     assert nb.multi_spouses == _multi_spouses_reference(dag, target)
     assert nb.partners == _collider_partners_reference(dag, target)
-    p = predict(dag, target, family)
+    p = verify(dag, target, family)
     assert p.mb == dag.markov_blanket(target)
     assert p.children_and_spouses == dag.children(target) | nb.partners
 
@@ -144,7 +143,7 @@ class TestClassification:
 
 class TestPrediction:
     def test_zero_conservative_union(self, fig2_dag, fig2_family):
-        p = predict(fig2_dag, "T", fig2_family)
+        p = verify(fig2_dag, "T", fig2_family)
         assert p.union_relation == UNION_EQUALS_MB
         assert p.intersection_relation == INTER_EQUALS_PA
         assert p.mb == {"A", "B", "C"}
@@ -152,21 +151,21 @@ class TestPrediction:
 
     def test_zero_untouched_intersection(self, fig2_dag):
         fam = InterventionFamily([{"A"}, {"C"}])
-        p = predict(fig2_dag, "T", fam)
+        p = verify(fig2_dag, "T", fam)
         assert p.intersection_relation == INTER_EQUALS_MB
 
     def test_mid_covered_intersection_empty(self, fig2_dag):
         fam = InterventionFamily([{"B"}, {"T"}, set()])
-        p = predict(fig2_dag, "T", fam)
+        p = verify(fig2_dag, "T", fam)
         assert p.intersection_relation == INTER_EMPTY
 
     def test_zero_nonconservative_union_sandwich(self, fig2_dag):
         fam = InterventionFamily([{"B"}, {"B", "C"}])
-        p = predict(fig2_dag, "T", fam)
+        p = verify(fig2_dag, "T", fam)
         assert p.union_relation == UNION_BETWEEN_PA_AND_MB
 
     def test_all_minus_conservative_union(self, fig2_dag, fig4_family):
-        p = predict(fig2_dag, "T", fig4_family)
+        p = verify(fig2_dag, "T", fig4_family)
         assert p.union_relation == UNION_EQUALS_CH_SP
         assert p.children_and_spouses == {"B", "C"}
 
@@ -204,7 +203,7 @@ class TestVerification:
                   [("T", "c1"), ("T", "c2"), ("s", "c1"), ("s", "c2")])
         fam = InterventionFamily([{"c1"}, {"c2"}])
         report = verify(dag, "T", fam)
-        assert report.prediction.intersection_relation == INTER_EQUALS_PA
+        assert report.intersection_relation == INTER_EQUALS_PA
         assert report.intersection_actual == {"s"}
         assert report.passed
 
@@ -291,7 +290,7 @@ class TestFuzzer:
         b = fuzz_theorems(60, node_range=(6, 9), seed=12)
         assert a.total_failures == 0
         assert a.total_trials == 60 * 12
-        assert a.to_json() == b.to_json()
+        assert a.to_json_dict() == b.to_json_dict()
 
     # the settings that used to redraw forever are checked through the CLI,
     # under a timeout, in test_cli.py
