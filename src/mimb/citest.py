@@ -238,7 +238,8 @@ def g2_test(
 
 
 class CiBackend(Protocol):
-    """What the discovery algorithms need from a test provider."""
+    """What the discovery algorithms need from a test provider. A backend
+    may add a bulk separator search; see :func:`first_separation`."""
 
     variables: tuple[str, ...]
     ledger: TestLedger
@@ -247,6 +248,34 @@ class CiBackend(Protocol):
     def n_datasets(self) -> int: ...
 
     def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult: ...
+
+
+def first_separation(
+    backend: CiBackend,
+    x: str,
+    y: str,
+    candidates: Iterable[tuple[tuple[str, ...], Iterable[int]]],
+) -> tuple[tuple[str, ...], int] | None:
+    """The first ``(z, dataset_index)`` of a search at which x and y test
+    independent given z, or None when no test does.
+
+    ``candidates`` yields ``(z, datasets)`` in search order, lazily if the
+    caller likes, and is read no further than the separation. The test of
+    x and y given z is asked in each of the datasets in turn. A backend
+    with a ``first_separation(x, y, candidates)`` method answers the whole
+    search in one call; it must ask exactly the queries of the loop below,
+    in the same order, with the same ledger counts, memo and errors. Any
+    other backend is asked query by query through ``test``, and that loop
+    is the definition the bulk methods are checked against.
+    """
+    bulk = getattr(backend, "first_separation", None)
+    if bulk is not None:
+        return bulk(x, y, candidates)
+    for z, datasets in candidates:
+        for k in datasets:
+            if backend.test(x, y, z, k).independent:
+                return z, k
+    return None
 
 
 class DataBackend:
@@ -341,3 +370,40 @@ class OracleBackend:
             self.ledger.record_hit(dataset_index)
         self.ledger.record(dataset_index)
         return _CONNECTED if reached >> xi & 1 else _SEPARATED
+
+    def first_separation(
+        self,
+        x: str,
+        y: str,
+        candidates: Iterable[tuple[tuple[str, ...], Iterable[int]]],
+    ) -> tuple[tuple[str, ...], int] | None:
+        """:func:`first_separation` in one loop.
+
+        Each z is validated once, before its first dataset is asked, and
+        each dataset index is checked in turn, so an error comes at the
+        query the query-by-query loop would raise it at. The memo and the
+        ledger are used as :meth:`test` uses them.
+        """
+        post_dags, memo = self.post_dags, self._memo
+        counts, hits = self.ledger.counts, self.ledger.hits
+        n = len(post_dags)
+        for z, datasets in candidates:
+            xi = -1
+            for k in datasets:
+                if not 0 <= k < n:
+                    _dataset(post_dags, k)  # raises
+                if xi < 0:
+                    xi, yi, zmask = post_dags[k]._query(x, y, z)
+                    if yi != self._memo_y:
+                        memo.clear()
+                        self._memo_y = yi
+                key = (zmask, k)
+                reached = memo.get(key)
+                if reached is None:
+                    reached = memo[key] = post_dags[k]._connected_mask(yi, zmask)
+                else:
+                    hits[k] += 1
+                counts[k] += 1
+                if not reached >> xi & 1:
+                    return z, k
+        return None

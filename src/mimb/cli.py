@@ -86,19 +86,22 @@ def _int_at_least(low: int):
     return parse
 
 
-def _float_between(low: float, high: float):
-    """An argparse type: a number strictly between ``low`` and ``high``
-    (so never NaN, and finite when both bounds are)."""
+def _float_between(low: float, high: float, *, include_high: bool = False):
+    """An argparse type: a number strictly between ``low`` and ``high``, or
+    equal to ``high`` with ``include_high`` (so never NaN, and finite when
+    both bounds are)."""
+    if include_high:
+        bounds = f"in ({low:g}, {high:g}]"
+    else:
+        bounds = f"strictly between {low:g} and {high:g}"
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-        if not low < value < high:
-            raise argparse.ArgumentTypeError(
-                f"must lie strictly between {low:g} and {high:g}, got {text}"
-            )
+        if not (low < value < high or include_high and value == high):
+            raise argparse.ArgumentTypeError(f"must lie {bounds}, got {text}")
         return value
 
     return parse
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--nodes", type=_int_range, default="6-10", help="node count or range, e.g. 8 or 6-10"
     )
-    p.add_argument("--edge-prob", type=float, default=0.3)
+    p.add_argument("--edge-prob", type=_float_between(0, 1, include_high=True), default=0.3)
     p.add_argument("--n-datasets", type=_int_range, default="2-4")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .citest import CiBackend
+from .citest import CiBackend, first_separation
 from .graph import Dag, InterventionFamily
 from .util import iter_subsets, union_and_intersection
 
@@ -61,8 +61,9 @@ def mipc(
     re-examined, but only against subsets that contain the newly admitted
     v. Search order is deterministic: subset sizes ascending, subsets
     lexicographic by member position, datasets in bundle order; the first
-    separation wins. A removed variable never re-enters ipc, so ``sepsets``
-    holds exactly the variables outside ``cpc``.
+    separation wins. Each search is one :func:`~mimb.citest.first_separation`
+    call. A removed variable never re-enters ipc, so ``sepsets`` holds
+    exactly the variables outside ``cpc``.
     """
     n = backend.n_datasets
     start = backend.ledger.snapshot()
@@ -84,14 +85,13 @@ def mipc(
             sepsets[v] = frozenset()
 
     def find_separator(v: str, pool: list[str], must_contain: str | None):
-        for subset in iter_subsets(pool, max_cond_size, containing=must_contain):
-            needed = set(subset) | {v}
-            for k in range(n):
-                if needed <= cmb[k]:
-                    res = backend.test(v, target, subset, k)
-                    if res.independent:
-                        return frozenset(subset)
-        return None
+        holding = [(k, cmb[k]) for k in range(n) if v in cmb[k]]
+        candidates = (
+            (subset, [k for k, blanket in holding if blanket.issuperset(subset)])
+            for subset in iter_subsets(pool, max_cond_size, containing=must_contain)
+        )
+        found = first_separation(backend, v, target, candidates)
+        return None if found is None else frozenset(found[0])
 
     ipc: list[str] = []
     for v in cpc:

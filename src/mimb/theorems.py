@@ -379,17 +379,17 @@ def fuzz_theorems(
     Rows that need a child or a second variable fit no one-node graph and
     no graph without edges, so the draws would never end, and the
     conservative zeta_zero rows and the zeta_mid rows cannot draw a single
-    experiment: a node range that allows no graph of two nodes, a zero
-    ``edge_prob``, a dataset range that starts below two or a reversed
-    range raises ``ValueError``.
+    experiment: a node range that allows no graph of two nodes, an
+    ``edge_prob`` outside (0, 1] (zero or NaN, say), a dataset range that
+    starts below two or a reversed range raises ``ValueError``.
     """
     for name, (low, high) in (("node_range", node_range), ("n_datasets_range", n_datasets_range)):
         if low > high:
             raise ValueError(f"{name} is reversed: {low} > {high}")
     if node_range[1] < 2:
         raise ValueError(f"node_range must allow two nodes or more, got {node_range}")
-    if edge_prob <= 0:
-        raise ValueError("edge_prob must be positive, or no graph has a child to verify")
+    if not 0 < edge_prob <= 1:  # NaN fails too
+        raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
     if n_datasets_range[0] < 2:
         raise ValueError(
             f"n_datasets_range must start at two datasets or more, got {n_datasets_range}:"

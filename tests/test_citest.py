@@ -504,6 +504,8 @@ class _PathEnumerationOracle(OracleBackend):
     """The oracle backend without its sweep or memo: every query is
     answered by :func:`brute_force_d_separated` on its own."""
 
+    first_separation = None  # so separator searches come through test too
+
     def test(self, x, y, z, dataset_index):
         separated = brute_force_d_separated(self.post_dags[dataset_index], x, y, z)
         self.ledger.record(dataset_index)

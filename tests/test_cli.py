@@ -261,6 +261,12 @@ class TestExitCodes:
             ]
         ]
         + [
+            # these used to get past the fuzzer's own check, or to be caught
+            # only by it, with a message that did not name the flag
+            ("verify-theorems", "--edge-prob", value, "must lie in (0, 1]")
+            for value in ("nan", "inf", "1.5", 0, "-1")
+        ]
+        + [
             ("split", "--discretize", spec, f"of 2 or more, got {spec!r}")
             for spec in ("score", "score:x", "score:", "score:1", "score:2.5")
         ],
@@ -309,7 +315,6 @@ class TestExitCodes:
         [
             (["--nodes", "1"], "two nodes or more"),
             (["--nodes", "1-1"], "two nodes or more"),
-            (["--edge-prob", "0"], "edge_prob must be positive"),
             # these used to do part of the work and then exit 3
             (["--n-datasets", "1"], "two datasets or more"),
             (["--n-datasets", "1-3"], "two datasets or more"),

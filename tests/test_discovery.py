@@ -154,6 +154,71 @@ class TestSymmetryCorrection:
         assert res.parents <= res.mb
 
 
+def _witness(edges, target, family):
+    """A ten-variable instance, X0..X9, from ``Xa→Xb`` edge strings."""
+    names = [f"X{i}" for i in range(10)]
+    dag = Dag(names, [tuple(edge.split("→")) for edge in edges.split()])
+    return dag, target, InterventionFamily(family)
+
+
+@pytest.fixture
+def separator_reused_witness():
+    # X0 ⊥ X6 | {X3} holds only in the last dataset, which manipulates the
+    # common child X8; the spouse step reuses that separator elsewhere
+    return _witness(
+        "X0→X8 X1→X3 X1→X6 X3→X4 X3→X6 X4→X0 X5→X2 X5→X4 X6→X8 X7→X0 X7→X2 X9→X5 X9→X6",
+        "X6",
+        [{"X2", "X7"}, {"X1"}, {"X9"}, {"X5", "X8"}],
+    )
+
+
+@pytest.fixture
+def symmetry_dropped_witness():
+    # the correction drops the candidate X3, which has no separator, so the
+    # spouse step conditions X3 on the empty set, where X6 connects it to X8
+    return _witness(
+        "X1→X0 X1→X3 X1→X4 X1→X6 X3→X7 X5→X3 X5→X7 X6→X2 X6→X3 X6→X4 X6→X7 X6→X9 X8→X4 X8→X6 X8→X7",
+        "X8",
+        [{"X2"}, {"X5"}, {"X5"}],
+    )
+
+
+class TestKnownMissesOnIdealTests:
+    """Two instances where MIMB on the oracle misses a spouse, pinned as
+    measured. A fix of either mechanism changes these on purpose."""
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_a_separator_from_one_dataset_misses_spouse_x0(
+        self, separator_reused_witness, symmetry
+    ):
+        dag, target, family = separator_reused_witness
+        res = mimb(OracleBackend(dag, family), target, 10, symmetry_correction=symmetry)
+        assert dag.markov_blanket(target) == {"X0", "X1", "X3", "X8", "X9"}
+        assert res.mb == {"X1", "X3", "X8", "X9"}
+        assert res.parents == {"X1", "X3", "X9"}
+        assert res.sepsets["X0"] == {"X3"}
+        assert res.tests_per_dataset == (270, 373, 370, 77)
+
+    @pytest.mark.parametrize(
+        "symmetry, mb, tests",
+        [
+            (False, {"X1", "X3", "X4", "X5", "X6", "X7"}, (516, 877, 873)),
+            (True, {"X1", "X4", "X5", "X6", "X7"}, (514, 879, 875)),
+        ],
+        ids=["plain", "corrected"],
+    )
+    def test_a_dropped_candidate_without_separator_misses_spouse_x3(
+        self, symmetry_dropped_witness, symmetry, mb, tests
+    ):
+        dag, target, family = symmetry_dropped_witness
+        res = mimb(OracleBackend(dag, family), target, 10, symmetry_correction=symmetry)
+        assert dag.markov_blanket(target) == {"X1", "X3", "X4", "X5", "X6", "X7"}
+        assert res.mb == mb
+        assert ("X3" in res.cpc) is not symmetry
+        assert "X3" not in res.sepsets
+        assert res.tests_per_dataset == tests
+
+
 class TestMimbProperties:
     def test_no_spouses_means_blanket_equals_candidates(self):
         dag = Dag(["A", "T", "B"], [("A", "T"), ("T", "B")])

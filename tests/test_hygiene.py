@@ -161,3 +161,58 @@ def test_one_csv_parser():
 )
 def test_the_csv_reader_check_itself(source, calls):
     assert csv_calls(source) == calls
+
+
+# what a backend offers the algorithms: the ``CiBackend`` protocol, which is
+# all a proxy that forwards only ``test`` has
+PROTOCOL = {"test", "variables", "ledger", "n_datasets"}
+ALGORITHMS = [ROOT / "src" / "mimb" / name for name in ("discovery.py", "hiton.py")]
+
+
+def off_protocol_backend_uses(source: str, helpers: set[str]) -> list[str]:
+    """Reads of ``backend`` other than through a protocol attribute or as
+    an argument of a call to one of ``helpers`` or to a function of the
+    same source that itself takes a ``backend``."""
+    tree = ast.parse(source)
+    callees = helpers | {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and "backend" in [a.arg for a in node.args.args + node.args.kwonlyargs]
+    }
+    fine = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PROTOCOL:
+            fine.add(id(node.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in callees:
+            fine.update(id(arg) for arg in node.args + [k.value for k in node.keywords])
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "backend" and id(node) not in fine
+    ]
+
+
+@pytest.mark.parametrize("path", ALGORITHMS, ids=lambda p: p.name)
+def test_algorithms_use_only_the_backend_protocol(path):
+    source = path.read_text(encoding="utf-8")
+    assert "backend." in source
+    assert off_protocol_backend_uses(source, {"first_separation"}) == []
+
+
+@pytest.mark.parametrize(
+    "source, uses",
+    [
+        ("def f(backend):\n    backend.test(1)\n    backend.ledger.snapshot()\n", []),
+        ("def f(backend):\n    return backend.n_datasets, backend.variables\n", []),
+        ("def f(backend):\n    backend._memo.clear()\n", ["line 2"]),
+        ("def f(backend):\n    backend.post_dags\n", ["line 2"]),
+        ("def f(backend):\n    getattr(backend, 'first_separation')\n", ["line 2"]),
+        ("def f(backend):\n    return backend\n", ["line 2"]),
+        ("def f(backend):\n    g(backend)\n", ["line 2"]),
+        ("def f(backend):\n    h(backend, 1)\n    h(x, backend=backend)\n", []),
+        ("def f(backend):\n    f(backend)\ndef g(b):\n    g(backend)\n", ["line 4"]),
+    ],
+)
+def test_the_protocol_check_itself(source, uses):
+    assert off_protocol_backend_uses(source, {"h"}) == uses

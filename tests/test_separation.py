@@ -1,0 +1,226 @@
+"""The separator search of MIPC answered in one backend call.
+
+``citest.first_separation`` asks a backend's bulk method when it has one
+and otherwise asks ``test`` query by query; that loop is the reference.
+Every check here runs the same work twice, once through a proxy that
+exposes only the protocol (so the reference loop answers) and once on the
+plain ``OracleBackend`` (so its bulk method does), and asks for the same
+results, the same ledger counts and hits, and the same errors.
+"""
+
+import numpy as np
+import pytest
+
+from mimb import (
+    InterventionFamily,
+    OracleBackend,
+    generate_intervention_family,
+    mimb,
+    random_dag,
+    trace_example,
+)
+from mimb.citest import first_separation
+
+
+class QueryByQuery:
+    """A backend that exposes only ``variables``, ``ledger``,
+    ``n_datasets`` and ``test``, as a tracing proxy does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.variables = inner.variables
+        self.ledger = inner.ledger
+
+    @property
+    def n_datasets(self):
+        return self._inner.n_datasets
+
+    def test(self, x, y, z, dataset_index):
+        return self._inner.test(x, y, z, dataset_index)
+
+
+def _pair(dag, family):
+    """(reference, bulk): two fresh backends on the same instance."""
+    return QueryByQuery(OracleBackend(dag, family)), OracleBackend(dag, family)
+
+
+def _same_ledgers(reference, bulk):
+    assert reference.ledger.counts == bulk.ledger.counts
+    assert reference.ledger.hits == bulk.ledger.hits
+
+
+# -- MIMB end to end -----------------------------------------------------------
+
+
+def _alarm_instances(alarm):
+    """The benchmark's oracle targets, each with its seed-7 family."""
+    master = np.random.SeedSequence(7)
+    for target in ("HR", "CO", "ACO2", "HRBP", "ERCA", "TPR"):
+        family = generate_intervention_family(
+            alarm.dag, target, 5, "zeta_zero",
+            require_conservative=True, max_targets_per_set=3, seed=master.spawn(1)[0],
+        )
+        yield alarm.dag, target, family
+
+
+def _criterion_4_instances(count, seed):
+    """Random conservative zeta-zero and zeta-mid instances drawn the way
+    the ideal-test acceptance criterion draws them."""
+    for ss in np.random.SeedSequence(seed).spawn(count):
+        rng = np.random.default_rng(ss)
+        n_nodes = int(rng.integers(6, 11))
+        dag = random_dag(n_nodes, 0.3, rng)
+        target = dag.variables[int(rng.integers(n_nodes))]
+        regime = "zeta_zero" if rng.random() < 0.5 else "zeta_mid"
+        covered = regime == "zeta_zero" and bool(rng.random() < 0.7)
+        family = generate_intervention_family(
+            dag, target, int(rng.integers(3, 6)), regime,
+            require_conservative=True, require_children_covered=covered, seed=rng,
+        )
+        yield dag, target, family
+
+
+def _check_mimb(dag, target, family, max_cond_size, symmetry):
+    reference, bulk = _pair(dag, family)
+    expected = mimb(reference, target, max_cond_size, symmetry_correction=symmetry)
+    assert mimb(bulk, target, max_cond_size, symmetry_correction=symmetry) == expected
+    _same_ledgers(reference, bulk)
+    return expected
+
+
+SETTINGS = [(size, symmetry) for size in ("3", "n") for symmetry in (False, True)]
+
+
+@pytest.mark.parametrize("size, symmetry", SETTINGS)
+def test_mimb_on_the_trace_example(size, symmetry):
+    dag, family = trace_example()
+    max_cond = 3 if size == "3" else len(dag.variables)
+    result = _check_mimb(dag, "T", family, max_cond, symmetry)
+    assert result.mb == {"A", "B", "G", "C"}
+
+
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_mimb_on_the_alarm_oracle_targets(alarm, symmetry):
+    # max_cond_size 3 only: at n = 37 one target alone asks millions of tests
+    for dag, target, family in _alarm_instances(alarm):
+        _check_mimb(dag, target, family, 3, symmetry)
+
+
+@pytest.mark.parametrize("size, symmetry", SETTINGS)
+def test_mimb_on_random_instances(size, symmetry):
+    n_tests = 0
+    for dag, target, family in _criterion_4_instances(120, seed=61):
+        max_cond = 3 if size == "3" else len(dag.variables)
+        n_tests += _check_mimb(dag, target, family, max_cond, symmetry).n_tests
+    assert n_tests > 0
+
+
+# -- the helper called directly --------------------------------------------------
+
+
+def _outcome(backend, x, y, candidates):
+    """What a search returns, or the type and message of what it raises,
+    with how many candidates it read."""
+    read = []
+
+    def lazily():
+        for candidate in candidates:
+            read.append(candidate)
+            yield candidate
+
+    try:
+        answer = first_separation(backend, x, y, lazily())
+    except ValueError as exc:
+        answer = (type(exc), str(exc))
+    return answer, len(read)
+
+
+def _same_search(reference, bulk, x, y, candidates):
+    outcome = _outcome(reference, x, y, candidates)
+    assert _outcome(bulk, x, y, candidates) == outcome
+    _same_ledgers(reference, bulk)
+    return outcome
+
+
+# x = A is a parent of T in every post-intervention graph of the trace
+# example, so no candidate before the bad one separates it
+BAD_SEARCHES = {
+    "unknown name in a later z": (
+        "A", "T", [(("E",), [0, 1, 2]), (("B", "NOPE"), [1, 2])], "unknown variable 'NOPE'",
+    ),
+    "x is y": ("T", "T", [(("E",), []), (("E",), [2])], "must differ"),
+    "x in a later z": ("A", "T", [(("E",), [0, 2]), (("B", "A"), [1])], "conditioning set"),
+    "index past the end in a later candidate": (
+        "A", "T", [(("E",), [0, 1]), (("B",), [2, 3, 0])], "outside 0..2",
+    ),
+    "negative index in a later candidate": (
+        "A", "T", [(("E",), [0]), (("B",), [1, -1])], "outside 0..2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_SEARCHES))
+def test_an_error_comes_at_the_same_query(name):
+    x, y, candidates, message = BAD_SEARCHES[name]
+    reference, bulk = _pair(*trace_example())
+    # E is separated from T by B in the second experiment only
+    assert _same_search(reference, bulk, "E", "T", [(("B",), [0, 1, 2])]) == ((("B",), 1), 1)
+    (answer, read) = _same_search(reference, bulk, x, y, candidates)
+    assert answer[0] is ValueError and message in answer[1]
+    assert read == len(candidates)
+    # the memo is left alike too: a repeat is answered with the same hits
+    assert _same_search(reference, bulk, "E", "T", [(("A",), [2]), (("B",), [0, 1])]) == (
+        (("A",), 2), 1,
+    )
+
+
+def test_a_search_reads_no_candidate_past_the_separation():
+    reference, bulk = _pair(*trace_example())
+    candidates = [((), [0, 1]), (("A",), []), (("B",), [0, 1, 2]), (("A", "B"), [2])]
+    assert _same_search(reference, bulk, "E", "T", candidates) == ((("B",), 1), 3)
+    assert reference.ledger.counts == [2, 2, 0]
+    assert _same_search(reference, bulk, "E", "T", []) == (None, 0)
+
+
+def _random_search(rng, names, y, n_datasets):
+    """A search for x and y over a few candidates, now and then with a name
+    that is unknown, repeated or x or y, or a dataset index outside the
+    family."""
+    x = y if rng.random() < 0.03 else str(rng.choice([v for v in names if v != y]))
+    others = [v for v in names if v not in (x, y)]
+    candidates = []
+    for _ in range(int(rng.integers(0, 6))):
+        size = int(rng.integers(0, min(3, len(others)) + 1))
+        z = [str(v) for v in rng.choice(others, size, replace=False)]
+        if rng.random() < 0.03:
+            z.append(str(rng.choice([x, y, "NOPE", *names])))
+        count = int(rng.integers(0, n_datasets + 1))
+        datasets = [int(k) for k in rng.permutation(n_datasets)[:count]]
+        if rng.random() < 0.03:
+            datasets.insert(int(rng.integers(len(datasets) + 1)), int(rng.choice([-1, n_datasets])))
+        candidates.append((tuple(z), datasets))
+    return x, y, candidates
+
+
+def test_random_searches_match_the_query_by_query_loop():
+    outcomes = set()
+    for ss in np.random.SeedSequence(67).spawn(40):
+        rng = np.random.default_rng(ss)
+        dag = random_dag(int(rng.integers(3, 9)), 0.35, rng)
+        names = list(dag.variables)
+        family = InterventionFamily(
+            {v for v in names if rng.random() < 0.25} for _ in range(int(rng.integers(1, 4)))
+        )
+        reference, bulk = _pair(dag, family)
+        # one backend pair for many searches, so the memo carries over
+        # while y stays and is dropped when it changes
+        for _ in range(6):
+            y = str(rng.choice(names))
+            for _ in range(10):
+                search = _random_search(rng, names, y, len(family))
+                answer, _ = _same_search(reference, bulk, *search)
+                outcomes.add(
+                    "none" if answer is None else "error" if answer[0] is ValueError else "found"
+                )
+        assert sum(bulk.ledger.hits) > 0
+    assert outcomes == {"none", "error", "found"}

@@ -301,11 +301,20 @@ class TestFuzzer:
             ({"node_range": (5, 2)}, "node_range is reversed"),
             ({"n_datasets_range": (3, 2)}, "n_datasets_range is reversed"),
             ({"n_datasets_range": (1, 3)}, "two datasets or more"),
+        ]
+        + [
+            ({"edge_prob": value}, r"edge_prob must be in \(0, 1\]")
+            for value in (0.0, -1.0, 1.5, float("inf"), float("nan"))
         ],
     )
     def test_settings_that_fit_no_row_raise(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             fuzz_theorems(1, **kwargs)
+
+    def test_complete_graphs_are_a_valid_setting(self):
+        summary = fuzz_theorems(2, node_range=(3, 5), edge_prob=1.0, seed=6)
+        assert summary.total_failures == 0
+        assert summary.total_trials == 2 * 12
 
     def test_each_instance_is_classified_once(self, monkeypatch):
         calls = {"classify_regime": 0, "verify": 0}
