@@ -262,15 +262,19 @@ def first_separation(
     ``candidates`` yields ``(z, datasets)`` in search order, lazily if the
     caller likes, and is read no further than the separation. The test of
     x and y given z is asked in each of the datasets in turn. A backend
-    with a ``first_separation(x, y, candidates)`` method answers the whole
-    search in one call; it must ask exactly the queries of the loop below,
-    in the same order, with the same ledger counts, memo and errors. Any
-    other backend is asked query by query through ``test``, and that loop
-    is the definition the bulk methods are checked against.
+    whose class has a ``first_separation(x, y, candidates)`` method answers
+    the whole search in one call; it must ask exactly the queries of the
+    loop below, in the same order, with the same ledger counts, memo and
+    errors. Any other backend is asked query by query through ``test``, and
+    that loop is the definition the bulk methods are checked against. So is
+    a backend whose class overrides ``test`` below the class that supplies
+    the bulk method: the inherited method would bypass its ``test``.
     """
-    bulk = getattr(backend, "first_separation", None)
-    if bulk is not None:
-        return bulk(x, y, candidates)
+    for cls in type(backend).__mro__:
+        if "first_separation" in vars(cls):
+            return backend.first_separation(x, y, candidates)
+        if "test" in vars(cls):
+            break
     for z, datasets in candidates:
         for k in datasets:
             if backend.test(x, y, z, k).independent:
@@ -335,11 +339,11 @@ class OracleBackend:
 
     One Bayes-ball sweep from y answers every x for the same (y, z,
     dataset), and the discovery algorithms ask about one target y at a
-    time while x varies. So the sweeps for the current y are memoised
-    under (z, dataset), and the memo is dropped when a query names another
-    y. Every query is validated first and counted like
-    :class:`DataBackend`'s: ``ledger.hits`` counts those answered from the
-    memo, and a query that raises is not counted.
+    time while x varies. So the sweeps for the current y are memoised, one
+    row per z holding the reached mask of each dataset, and the memo is
+    dropped when a query names another y. Every query is validated first
+    and counted like :class:`DataBackend`'s: ``ledger.hits`` counts those
+    answered from the memo, and a query that raises is not counted.
     """
 
     def __init__(self, dag: Dag, family: InterventionFamily):
@@ -350,24 +354,35 @@ class OracleBackend:
         self.variables = dag.variables
         self.ledger = TestLedger(len(self.post_dags))
         self._memo_y = -1
-        self._memo: dict[tuple[int, int], int] = {}
+        # zmask -> the reached mask per dataset; a sweep always reaches y,
+        # so 0 marks a dataset not swept yet
+        self._memo: dict[int, list[int]] = {}
 
     @property
     def n_datasets(self) -> int:
         return len(self.post_dags)
 
-    def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult:
-        dag = _dataset(self.post_dags, dataset_index)
-        xi, yi, zmask = dag._query(x, y, z)
+    def _memo_row(self, x: str, y: str, z: Iterable[str]) -> tuple[int, int, int, list[int]]:
+        """The query checked as ``Dag._query`` checks it, and the memo row
+        of its z, made empty if there is none; the memo is first dropped
+        if y is not the current y."""
+        xi, yi, zmask = self.dag._query(x, y, z)
         if yi != self._memo_y:
             self._memo.clear()
             self._memo_y = yi
-        key = (zmask, dataset_index)
-        reached = self._memo.get(key)
-        if reached is None:
-            reached = self._memo[key] = dag._connected_mask(yi, zmask)
-        else:
+        row = self._memo.get(zmask)
+        if row is None:
+            row = self._memo[zmask] = [0] * len(self.post_dags)
+        return xi, yi, zmask, row
+
+    def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult:
+        dag = _dataset(self.post_dags, dataset_index)
+        xi, yi, zmask, row = self._memo_row(x, y, z)
+        reached = row[dataset_index]
+        if reached:
             self.ledger.record_hit(dataset_index)
+        else:
+            reached = row[dataset_index] = dag._connected_mask(yi, zmask)
         self.ledger.record(dataset_index)
         return _CONNECTED if reached >> xi & 1 else _SEPARATED
 
@@ -379,30 +394,26 @@ class OracleBackend:
     ) -> tuple[tuple[str, ...], int] | None:
         """:func:`first_separation` in one loop.
 
-        Each z is validated once, before its first dataset is asked, and
-        each dataset index is checked in turn, so an error comes at the
-        query the query-by-query loop would raise it at. The memo and the
-        ledger are used as :meth:`test` uses them.
+        Each z is validated and its memo row looked up once, before its
+        first dataset is asked, and each dataset index is checked in turn,
+        so an error comes at the query the query-by-query loop would raise
+        it at. The memo and the ledger are used as :meth:`test` uses them.
         """
-        post_dags, memo = self.post_dags, self._memo
+        post_dags = self.post_dags
         counts, hits = self.ledger.counts, self.ledger.hits
         n = len(post_dags)
         for z, datasets in candidates:
-            xi = -1
+            row = None
             for k in datasets:
                 if not 0 <= k < n:
                     _dataset(post_dags, k)  # raises
-                if xi < 0:
-                    xi, yi, zmask = post_dags[k]._query(x, y, z)
-                    if yi != self._memo_y:
-                        memo.clear()
-                        self._memo_y = yi
-                key = (zmask, k)
-                reached = memo.get(key)
-                if reached is None:
-                    reached = memo[key] = post_dags[k]._connected_mask(yi, zmask)
-                else:
+                if row is None:
+                    xi, yi, zmask, row = self._memo_row(x, y, z)
+                reached = row[k]
+                if reached:
                     hits[k] += 1
+                else:
+                    reached = row[k] = post_dags[k]._connected_mask(yi, zmask)
                 counts[k] += 1
                 if not reached >> xi & 1:
                     return z, k

@@ -84,13 +84,24 @@ def mipc(
         else:
             sepsets[v] = frozenset()
 
+    # a set of datasets as a bitmask (bit k is dataset k) -> its indices
+    indices: dict[int, tuple[int, ...]] = {}
+
     def find_separator(v: str, pool: list[str], must_contain: str | None):
-        holding = [(k, cmb[k]) for k in range(n) if v in cmb[k]]
-        candidates = (
-            (subset, [k for k, blanket in holding if blanket.issuperset(subset)])
-            for subset in iter_subsets(pool, max_cond_size, containing=must_contain)
-        )
-        found = first_separation(backend, v, target, candidates)
+        # the datasets whose candidate blanket holds each of v and the pool
+        holding = {u: sum(1 << k for k in range(n) if u in cmb[k]) for u in (v, *pool)}
+
+        def candidates():
+            for subset in iter_subsets(pool, max_cond_size, containing=must_contain):
+                mask = holding[v]
+                for u in subset:
+                    mask &= holding[u]
+                datasets = indices.get(mask)
+                if datasets is None:
+                    datasets = indices[mask] = tuple(k for k in range(n) if mask >> k & 1)
+                yield subset, datasets
+
+        found = first_separation(backend, v, target, candidates())
         return None if found is None else frozenset(found[0])
 
     ipc: list[str] = []

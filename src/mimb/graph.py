@@ -24,7 +24,7 @@ class Dag:
 
     __slots__ = (
         "variables", "edges", "_index", "_pa", "_ch", "_topo", "_hash",
-        "_pa_mask", "_ch_mask",
+        "_pa_mask", "_ch_mask", "_tables",
     )
 
     def __init__(self, variables: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
@@ -59,6 +59,7 @@ class Dag:
         )
         self._topo = self._toposort()
         self._hash: int | None = None
+        self._tables: tuple[tuple[list[int], list[int]], ...] | None = None
 
     def _resolve(self, name: str) -> int:
         try:
@@ -181,6 +182,28 @@ class Dag:
             raise ValueError("x and y must not be in the conditioning set")
         return xi, yi, zmask
 
+    def _sweep_tables(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """Per 8-node chunk, the OR of the parent masks and the OR of the
+        child masks of the chunk's nodes in each subset, indexed by the
+        chunk's byte of a node mask.
+
+        Built on a graph's first sweep and kept, not in ``__init__``: most
+        graphs are never swept, and the tables take 2 x 256 entries per
+        chunk. ``==`` and ``hash`` ignore them.
+        """
+        pa, ch = self._pa_mask, self._ch_mask
+        tables = []
+        for base in range(0, len(pa), 8):
+            pa_or, ch_or = [0], [0]
+            # each node doubles the table: the subsets that hold it are
+            # those that do not, each ORed with the node's masks
+            for p, c in zip(pa[base : base + 8], ch[base : base + 8]):
+                pa_or += [m | p for m in pa_or]
+                ch_or += [m | c for m in ch_or]
+            tables.append((pa_or, ch_or))
+        self._tables = tuple(tables)
+        return self._tables
+
     def _connected_mask(self, yi: int, zmask: int) -> int:
         """Bitmask of every node the ball sent from yi reaches given the
         nodes in zmask (Shachter's Bayes-ball).
@@ -188,10 +211,10 @@ class Dag:
         A node that is neither yi nor in zmask is in the mask iff it is
         d-connected to yi given z, so one sweep answers every x. States are
         (node, came_from_child), the source entered as if from below; the
-        sweep advances whole layers of states as bitmasks and never stops
-        early.
+        sweep advances whole layers of states as bitmasks, one table lookup
+        per 8-node chunk of a layer, and never stops early.
         """
-        pa_mask, ch_mask = self._pa_mask, self._ch_mask
+        tables = self._tables or self._sweep_tables()
         open_ = ~zmask
         up_seen = down_seen = 0
         up, down = 1 << yi, 0  # states entered from a child / from a parent
@@ -207,15 +230,13 @@ class Dag:
             to_parents = (up & open_) | (down & zmask)
             to_children = (up | down) & open_
             up = down = 0
-            m = to_parents | to_children
-            while m:
-                bit = m & -m
-                v = bit.bit_length() - 1
-                if to_parents & bit:
-                    up |= pa_mask[v]
-                if to_children & bit:
-                    down |= ch_mask[v]
-                m ^= bit
+            for pa_or, ch_or in tables:
+                if not (to_parents or to_children):
+                    break
+                up |= pa_or[to_parents & 255]
+                down |= ch_or[to_children & 255]
+                to_parents >>= 8
+                to_children >>= 8
             up &= ~up_seen
             down &= ~down_seen
         return up_seen | down_seen

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
@@ -98,7 +99,7 @@ def read_table(path: str | Path) -> Table:
             rows = list(filter(None, reader))  # blank lines parse as []
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     width = len(header)
     if set(map(len, rows)) - {width}:
@@ -118,12 +119,21 @@ def read_table(path: str | Path) -> Table:
     )
 
 
+# what makes csv.writer quote a field in a row of several fields
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def _csv_fields(labels: Iterable[str]) -> list[str]:
-    """Each label as ``csv.writer`` writes it in a row of several fields."""
+    """Each label as ``csv.writer`` writes it in a row of several fields:
+    a label without a comma, a quote or a line break is its own field, and
+    ``csv.writer`` writes each of the others."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     fields = []
     for label in labels:
+        if not _NEEDS_QUOTES(label):
+            fields.append(label)
+            continue
         buf.seek(0)
         buf.truncate()
         writer.writerow((label, ""))

@@ -502,9 +502,9 @@ class TestBackends:
 
 class _PathEnumerationOracle(OracleBackend):
     """The oracle backend without its sweep or memo: every query is
-    answered by :func:`brute_force_d_separated` on its own."""
-
-    first_separation = None  # so separator searches come through test too
+    answered by :func:`brute_force_d_separated` on its own. Separator
+    searches come through this ``test`` too: it overrides the ``test`` of
+    the class whose bulk search it inherits."""
 
     def test(self, x, y, z, dataset_index):
         separated = brute_force_d_separated(self.post_dags[dataset_index], x, y, z)

@@ -58,6 +58,28 @@ def test_readme_shows_every_subcommand():
     assert commands == {"generate", "discover", "verify-theorems", "benchmark", "split"}
 
 
+def test_readme_quick_start_gives_its_commented_results():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(block, namespace)
+    # a comment that is a Python value is the result of its line
+    commented = {}
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            commented[code.strip()] = eval(comment, {"frozenset": frozenset})
+        except (SyntaxError, NameError):
+            continue  # a comment in words
+    assert commented == {
+        "result.mb": frozenset("ABCG"),
+        "result.parents": frozenset("AB"),
+        "result.n_tests": 199,
+    }
+    for code, value in commented.items():
+        assert eval(code, namespace) == value
+
+
 class TestGenerateAndDiscover:
     def test_round_trip(self, tiny_network, tmp_path, capsys):
         out_dir = tmp_path / "bundle"
@@ -378,11 +400,16 @@ class TestExitCodes:
         [
             ("A,B\na,a\n", "{d1}: columns differ from those of {d0}"),
             ("A,T\na,a\nb\n", "{d1}: row 1 has 1 cells, expected 2"),
+            (
+                "A,T\na,caf\xe9\n",  # written as Latin-1, so not UTF-8
+                "{d1}: 'utf-8' codec can't decode byte 0xe9 in position 9: "
+                "invalid continuation byte",
+            ),
         ],
     )
     def test_a_bad_bundle_csv_is_named(self, second, message, tmp_path, capsys):
         (tmp_path / "d0.csv").write_text("A,T\na,a\nb,b\n")
-        (tmp_path / "d1.csv").write_text(second)
+        (tmp_path / "d1.csv").write_bytes(second.encode("latin-1"))
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"datasets": ["d0.csv", "d1.csv"]}))
         assert run_cli("discover", "--manifest", path, "--target", "T") == 2

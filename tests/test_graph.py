@@ -4,8 +4,42 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mimb import Dag, InterventionFamily, brute_force_d_separated, is_conservative, random_dag
+from mimb import (
+    Dag,
+    InterventionFamily,
+    brute_force_d_separated,
+    generate_intervention_family,
+    is_conservative,
+    random_dag,
+)
 from mimb.util import iter_subsets
+
+
+def per_bit_connected_mask(dag: Dag, yi: int, zmask: int) -> int:
+    """``Dag._connected_mask`` with one parent-mask and one child-mask
+    lookup per node of each layer, in place of the chunk tables; the
+    reference for graphs too large for ``brute_force_d_separated``."""
+    open_ = ~zmask
+    up_seen = down_seen = 0
+    up, down = 1 << yi, 0
+    while up or down:
+        up_seen |= up
+        down_seen |= down
+        to_parents = (up & open_) | (down & zmask)
+        to_children = (up | down) & open_
+        up = down = 0
+        m = to_parents | to_children
+        while m:
+            bit = m & -m
+            v = bit.bit_length() - 1
+            if to_parents & bit:
+                up |= dag._pa_mask[v]
+            if to_children & bit:
+                down |= dag._ch_mask[v]
+            m ^= bit
+        up &= ~up_seen
+        down &= ~down_seen
+    return up_seen | down_seen
 
 
 class TestConstruction:
@@ -171,6 +205,54 @@ class TestBruteForceOracle:
                 rest = [v for v in names if v not in (x, y)]
                 for z in [(), *iter_subsets(rest, 3)]:
                     assert dag.d_separated(x, y, z) == brute_force_d_separated(dag, x, y, z)
+
+
+class TestSweepAcrossChunks:
+    """The sweep reads its graph through one table per 8-node chunk, so
+    these graphs have nodes, edges and frontiers in several chunks."""
+
+    # sparse enough for path enumeration, whose cost grows with the paths
+    @pytest.mark.parametrize("n_nodes, edge_prob", [(9, 0.35), (16, 0.15), (17, 0.14), (24, 0.08)])
+    def test_matches_brute_force(self, n_nodes, edge_prob):
+        for ss in np.random.SeedSequence(n_nodes).spawn(6):
+            rng = np.random.default_rng(ss)
+            dag = random_dag(n_nodes, edge_prob, rng)
+            names = dag.variables
+            for _ in range(12):
+                y = names[int(rng.integers(n_nodes))]
+                others = [v for v in names if v != y]
+                z = [str(v) for v in rng.choice(others, int(rng.integers(0, 4)), replace=False)]
+                zmask = sum(1 << dag.index(v) for v in z)
+                reached = dag._connected_mask(dag.index(y), zmask)
+                for x in others:
+                    if x not in z:
+                        connected = bool(reached >> dag.index(x) & 1)
+                        assert connected == (not brute_force_d_separated(dag, x, y, z))
+
+    def test_matches_the_per_bit_sweep_on_alarm(self, alarm):
+        family = generate_intervention_family(
+            alarm.dag, "HR", 5, "zeta_zero",
+            require_conservative=True, max_targets_per_set=3, seed=7,
+        )
+        n = len(alarm.dag.variables)
+        for dag in [alarm.dag.apply_intervention(s) for s in family]:
+            for yi in range(n):
+                others = [1 << v for v in range(n) if v != yi]
+                for size in range(3):
+                    for z in itertools.combinations(others, size):
+                        zmask = sum(z)
+                        assert dag._connected_mask(yi, zmask) == per_bit_connected_mask(dag, yi, zmask)
+
+    def test_tables_are_built_on_the_first_sweep_only(self, alarm):
+        dag = Dag(alarm.dag.variables, sorted(alarm.dag.edges))
+        assert dag._tables is None
+        dag.d_separated("HR", "CO")
+        tables = dag._tables
+        assert len(tables) == 5  # 37 nodes
+        dag.d_separated("HR", "BP", ("CO",))
+        assert dag._tables is tables
+        # value semantics ignore them
+        assert dag == alarm.dag and hash(dag) == hash(alarm.dag)
 
 
 class TestEdgeCharacterisation:

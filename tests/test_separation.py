@@ -1,7 +1,8 @@
 """The separator search of MIPC answered in one backend call.
 
-``citest.first_separation`` asks a backend's bulk method when it has one
-and otherwise asks ``test`` query by query; that loop is the reference.
+``citest.first_separation`` asks a backend's bulk method when its class
+has one and overrides no ``test`` below it, and otherwise asks ``test``
+query by query; that loop is the reference.
 Every check here runs the same work twice, once through a proxy that
 exposes only the protocol (so the reference loop answers) and once on the
 plain ``OracleBackend`` (so its bulk method does), and asks for the same
@@ -85,25 +86,43 @@ def _check_mimb(dag, target, family, max_cond_size, symmetry):
     expected = mimb(reference, target, max_cond_size, symmetry_correction=symmetry)
     assert mimb(bulk, target, max_cond_size, symmetry_correction=symmetry) == expected
     _same_ledgers(reference, bulk)
-    return expected
+    return expected, (bulk.ledger.counts, bulk.ledger.hits)
 
 
 SETTINGS = [(size, symmetry) for size in ("3", "n") for symmetry in (False, True)]
+
+
+# (counts, hits) per dataset of MIMB at max_cond_size 3 without symmetry
+# correction, as recorded when the sweep memo was keyed by (z, dataset)
+# rather than holding one row per z
+PINNED_LEDGERS = {
+    "T": ([38, 92, 69], [25, 52, 40]),
+    "HR": ([37059, 43441, 8636, 15628, 43375], [33369, 39281, 7248, 13668, 39215]),
+    "CO": ([60167, 48175, 29761, 60167, 60079], [55646, 44290, 27289, 55619, 55561]),
+    "ACO2": ([33572, 27850, 15045, 38069, 28506], [30297, 24921, 13283, 34446, 25527]),
+    "HRBP": ([28578, 28589, 21976, 21448, 18428], [26164, 26164, 19929, 19448, 16671]),
+    "ERCA": ([11550, 19262, 206, 10837, 28521], [10348, 17515, 167, 9861, 26166]),
+    "TPR": ([4027, 1798, 5795, 3932, 5788], [3437, 1540, 5055, 3368, 5051]),
+}
 
 
 @pytest.mark.parametrize("size, symmetry", SETTINGS)
 def test_mimb_on_the_trace_example(size, symmetry):
     dag, family = trace_example()
     max_cond = 3 if size == "3" else len(dag.variables)
-    result = _check_mimb(dag, "T", family, max_cond, symmetry)
+    result, ledger = _check_mimb(dag, "T", family, max_cond, symmetry)
     assert result.mb == {"A", "B", "G", "C"}
+    if (size, symmetry) == ("3", False):
+        assert ledger == PINNED_LEDGERS["T"]
 
 
 @pytest.mark.parametrize("symmetry", [False, True])
 def test_mimb_on_the_alarm_oracle_targets(alarm, symmetry):
     # max_cond_size 3 only: at n = 37 one target alone asks millions of tests
     for dag, target, family in _alarm_instances(alarm):
-        _check_mimb(dag, target, family, 3, symmetry)
+        _, ledger = _check_mimb(dag, target, family, 3, symmetry)
+        if not symmetry:
+            assert ledger == PINNED_LEDGERS[target]
 
 
 @pytest.mark.parametrize("size, symmetry", SETTINGS)
@@ -111,7 +130,7 @@ def test_mimb_on_random_instances(size, symmetry):
     n_tests = 0
     for dag, target, family in _criterion_4_instances(120, seed=61):
         max_cond = 3 if size == "3" else len(dag.variables)
-        n_tests += _check_mimb(dag, target, family, max_cond, symmetry).n_tests
+        n_tests += _check_mimb(dag, target, family, max_cond, symmetry)[0].n_tests
     assert n_tests > 0
 
 
@@ -180,6 +199,42 @@ def test_a_search_reads_no_candidate_past_the_separation():
     assert _same_search(reference, bulk, "E", "T", candidates) == ((("B",), 1), 3)
     assert reference.ledger.counts == [2, 2, 0]
     assert _same_search(reference, bulk, "E", "T", []) == (None, 0)
+
+
+class CountingOracle(OracleBackend):
+    """An oracle backend that overrides ``test`` alone and counts its calls."""
+
+    def __init__(self, dag, family):
+        super().__init__(dag, family)
+        self.calls = 0
+
+    def test(self, x, y, z, dataset_index):
+        self.calls += 1
+        return super().test(x, y, z, dataset_index)
+
+
+def test_a_subclass_that_overrides_test_answers_every_query():
+    backend = CountingOracle(*trace_example())
+    result = mimb(backend, "T")
+    assert backend.calls == backend.ledger.total == result.n_tests == 199
+    assert result == mimb(OracleBackend(*trace_example()), "T")
+
+
+def test_a_subclass_that_keeps_test_keeps_the_bulk_search(monkeypatch):
+    class Inherits(OracleBackend):
+        pass
+
+    class OverridesBoth(CountingOracle):
+        first_separation = OracleBackend.first_separation
+
+    asked = []
+    plain = OracleBackend.test
+    monkeypatch.setattr(OracleBackend, "test", lambda self, *q: asked.append(q) or plain(self, *q))
+    for cls in (Inherits, OverridesBoth):
+        backend = cls(*trace_example())
+        assert first_separation(backend, "E", "T", [(("B",), [0, 1, 2])]) == (("B",), 1)
+        assert backend.ledger.total == 2
+    assert asked == []
 
 
 def _random_search(rng, names, y, n_datasets):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from mimb.bayesnet import Dataset, DatasetBundle, Schema
 from mimb.tabular import (
     MANIFEST_NAME,
     Table,
+    _csv_fields,
     apply_mask,
     dataset_to_table,
     discretize,
@@ -207,6 +209,15 @@ class TestTable:
         path.write_text("a,b\n1,2\n\n3\n")
         with pytest.raises(ValueError, match="row 1 has 1 cells, expected 2"):
             read_table(path)
+
+    def test_undecodable_csv_names_its_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"A,T\na,caf\xe9\n")
+        with pytest.raises(ValueError) as info:
+            read_table(path)
+        assert str(info.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 9: invalid continuation byte"
+        )
 
     def test_unknown_column(self):
         t = table_of(("a",), [("1",)])
@@ -479,6 +490,13 @@ class TestAgainstRowWiseReference:
         _same_bundle(loaded, _outcome(_reference_load_bundle, manifest, states))
         if states is None:
             assert loaded.schema.states == (("a", "b"), ("p", "q"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.characters() | st.sampled_from(',"\r\n ')), min_size=1, max_size=6))
+    def test_fields_are_those_of_csv_writer(self, labels):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([*labels, ""])  # every label in a row of several fields
+        assert ",".join(_csv_fields(labels)) + ",\r\n" == buf.getvalue()
 
     def test_alarm_bundle_matches(self, alarm, tmp_path):
         family = InterventionFamily([set(), {"HR"}, {"VTUB", "CO"}])

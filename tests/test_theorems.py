@@ -329,6 +329,15 @@ class TestFuzzer:
         summary = fuzz_theorems(5, seed=3)
         assert calls["classify_regime"] == calls["verify"] == summary.total_trials == 60
 
+    def test_fuzzed_graphs_build_no_sweep_tables(self, monkeypatch):
+        # the fuzzer builds thousands of graphs and sweeps none of them, so
+        # none may pay for the tables of the d-separation sweep
+        def refuse(dag):
+            raise AssertionError("sweep tables built")
+
+        monkeypatch.setattr(Dag, "_sweep_tables", refuse)
+        assert fuzz_theorems(5, seed=3).total_trials == 60
+
     def test_an_instance_outside_its_row_is_an_internal_error(self, monkeypatch):
         # a family manipulating the target everywhere fits no zeta_zero row
         monkeypatch.setattr(
