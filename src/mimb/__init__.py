@@ -17,7 +17,6 @@ from .bayesnet import (
     Schema,
     format_network,
     forward_sample,
-    joint_table,
     parse_network,
     randomize_manipulated_cpts,
 )
@@ -33,12 +32,7 @@ from .citest import (
     g2_test,
 )
 from .discovery import DiscoveryResult, mimb, mipc, trace_example
-from .graph import (
-    Dag,
-    InterventionFamily,
-    brute_force_d_separated,
-    is_conservative,
-)
+from .graph import Dag, InterventionFamily, is_conservative
 from .hiton import BaselineResult, SingleMbResult, baseline, hiton_mb, hiton_pc
 from .metrics import EvalReport, Scores, run_benchmark, score
 from .simulate import (
@@ -83,7 +77,6 @@ __all__ = [
     "TestLedger",
     "VerificationReport",
     "baseline",
-    "brute_force_d_separated",
     "chi_square_upper_tail",
     "classify_regime",
     "contingency_counts",
@@ -97,7 +90,6 @@ __all__ = [
     "hiton_mb",
     "hiton_pc",
     "is_conservative",
-    "joint_table",
     "mimb",
     "mipc",
     "oracle_mbs",

@@ -405,21 +405,3 @@ def randomize_manipulated_cpts(
         cpts,
         parent_orders=orders,
     )
-
-
-def joint_table(bn: BayesianNetwork) -> np.ndarray:
-    """Exact joint distribution by enumeration; only for tiny networks."""
-    cards = bn.schema.cardinalities
-    if math.prod(cards) > 1 << 20:
-        raise ValueError("network too large to enumerate")
-    joint = np.zeros(cards)
-    col_of = {v: i for i, v in enumerate(bn.variables)}
-    for config in np.ndindex(*cards):
-        p = 1.0
-        for v in bn.variables:
-            row = bn.row_index(
-                v, {q: config[col_of[q]] for q in bn.parent_orders[v]}
-            )
-            p *= bn.cpts[v][row, config[col_of[v]]]
-        joint[config] = p
-    return joint

@@ -49,12 +49,6 @@ class TestLedger:
         self.counts = [0] * n_datasets
         self.hits = [0] * n_datasets
 
-    def record(self, dataset_index: int) -> None:
-        self.counts[dataset_index] += 1
-
-    def record_hit(self, dataset_index: int) -> None:
-        self.hits[dataset_index] += 1
-
     @property
     def total(self) -> int:
         return sum(self.counts)
@@ -312,8 +306,8 @@ class DataBackend:
         if res is None:
             res = self._memo[key] = _g2(data, x, y, zs, self.alpha)
         else:
-            self.ledger.record_hit(dataset_index)
-        self.ledger.record(dataset_index)
+            self.ledger.hits[dataset_index] += 1
+        self.ledger.counts[dataset_index] += 1
         return res
 
 
@@ -362,29 +356,9 @@ class OracleBackend:
     def n_datasets(self) -> int:
         return len(self.post_dags)
 
-    def _memo_row(self, x: str, y: str, z: Iterable[str]) -> tuple[int, int, int, list[int]]:
-        """The query checked as ``Dag._query`` checks it, and the memo row
-        of its z, made empty if there is none; the memo is first dropped
-        if y is not the current y."""
-        xi, yi, zmask = self.dag._query(x, y, z)
-        if yi != self._memo_y:
-            self._memo.clear()
-            self._memo_y = yi
-        row = self._memo.get(zmask)
-        if row is None:
-            row = self._memo[zmask] = [0] * len(self.post_dags)
-        return xi, yi, zmask, row
-
     def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult:
-        dag = _dataset(self.post_dags, dataset_index)
-        xi, yi, zmask, row = self._memo_row(x, y, z)
-        reached = row[dataset_index]
-        if reached:
-            self.ledger.record_hit(dataset_index)
-        else:
-            reached = row[dataset_index] = dag._connected_mask(yi, zmask)
-        self.ledger.record(dataset_index)
-        return _CONNECTED if reached >> xi & 1 else _SEPARATED
+        found = self.first_separation(x, y, ((z, (dataset_index,)),))
+        return _CONNECTED if found is None else _SEPARATED
 
     def first_separation(
         self,
@@ -392,14 +366,16 @@ class OracleBackend:
         y: str,
         candidates: Iterable[tuple[tuple[str, ...], Iterable[int]]],
     ) -> tuple[tuple[str, ...], int] | None:
-        """:func:`first_separation` in one loop.
+        """:func:`first_separation` in one loop; :meth:`test` is a search
+        of one query.
 
         Each z is validated and its memo row looked up once, before its
         first dataset is asked, and each dataset index is checked in turn,
         so an error comes at the query the query-by-query loop would raise
-        it at. The memo and the ledger are used as :meth:`test` uses them.
+        it at, and a query that raises leaves the memo and the ledger as
+        they were.
         """
-        post_dags = self.post_dags
+        post_dags, memo = self.post_dags, self._memo
         counts, hits = self.ledger.counts, self.ledger.hits
         n = len(post_dags)
         for z, datasets in candidates:
@@ -408,7 +384,13 @@ class OracleBackend:
                 if not 0 <= k < n:
                     _dataset(post_dags, k)  # raises
                 if row is None:
-                    xi, yi, zmask, row = self._memo_row(x, y, z)
+                    xi, yi, zmask = self.dag._query(x, y, z)
+                    if yi != self._memo_y:
+                        memo.clear()
+                        self._memo_y = yi
+                    row = memo.get(zmask)
+                    if row is None:
+                        row = memo[zmask] = [0] * n
                 reached = row[k]
                 if reached:
                     hits[k] += 1

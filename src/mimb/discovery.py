@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .citest import CiBackend, first_separation
 from .graph import Dag, InterventionFamily
-from .util import iter_subsets, union_and_intersection
+from .util import iter_bits, iter_subsets, union_and_intersection
 
 
 @dataclass(frozen=True)
@@ -68,29 +68,26 @@ def mipc(
     n = backend.n_datasets
     start = backend.ledger.snapshot()
 
-    cpc: list[str] = []
-    cmb: list[set[str]] = [set() for _ in range(n)]
+    # candidate -> the datasets whose candidate blanket holds it, as a
+    # bitmask (bit k is dataset k); insertion order is admission order
+    holding: dict[str, int] = {}
     sepsets: dict[str, frozenset[str]] = {}
     for v in backend.variables:
         if v == target:
             continue
-        dependent_anywhere = False
+        mask = 0
         for i in range(n):
             if not backend.test(v, target, (), i).independent:
-                dependent_anywhere = True
-                cmb[i].add(v)
-        if dependent_anywhere:
-            cpc.append(v)
+                mask |= 1 << i
+        if mask:
+            holding[v] = mask
         else:
             sepsets[v] = frozenset()
 
-    # a set of datasets as a bitmask (bit k is dataset k) -> its indices
+    # a set of datasets as a bitmask -> its indices
     indices: dict[int, tuple[int, ...]] = {}
 
-    def find_separator(v: str, pool: list[str], must_contain: str | None):
-        # the datasets whose candidate blanket holds each of v and the pool
-        holding = {u: sum(1 << k for k in range(n) if u in cmb[k]) for u in (v, *pool)}
-
+    def remove_if_separated(v: str, pool: list[str], must_contain: str | None) -> bool:
         def candidates():
             for subset in iter_subsets(pool, max_cond_size, containing=must_contain):
                 mask = holding[v]
@@ -98,30 +95,25 @@ def mipc(
                     mask &= holding[u]
                 datasets = indices.get(mask)
                 if datasets is None:
-                    datasets = indices[mask] = tuple(k for k in range(n) if mask >> k & 1)
+                    datasets = indices[mask] = tuple(iter_bits(mask))
                 yield subset, datasets
 
         found = first_separation(backend, v, target, candidates())
-        return None if found is None else frozenset(found[0])
+        if found is not None:
+            del holding[v]
+            sepsets[v] = frozenset(found[0])
+        return found is not None
 
     ipc: list[str] = []
-    for v in cpc:
-        sep = find_separator(v, ipc, None)
-        if sep is not None:
-            for k in range(n):
-                cmb[k].discard(v)
-            sepsets[v] = sep
+    for v in list(holding):
+        if remove_if_separated(v, ipc, None):
             continue
         ipc.append(v)
         for y in [u for u in ipc if u != v]:
-            pool = [u for u in ipc if u != y]
-            sep_y = find_separator(y, pool, v)
-            if sep_y is not None:
+            if remove_if_separated(y, [u for u in ipc if u != y], v):
                 ipc.remove(y)
-                for k in range(n):
-                    cmb[k].discard(y)
-                sepsets[y] = sep_y
 
+    cmb = [{v for v, mask in holding.items() if mask >> k & 1} for k in range(n)]
     return _result(ipc, cmb, sepsets, backend.ledger.since(start))
 
 

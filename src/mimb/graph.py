@@ -9,9 +9,10 @@ threads.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from typing import Iterable, Iterator
+
+from .util import iter_bits
 
 
 class Dag:
@@ -22,40 +23,29 @@ class Dag:
     order exists.
     """
 
-    __slots__ = (
-        "variables", "edges", "_index", "_pa", "_ch", "_topo", "_hash",
-        "_pa_mask", "_ch_mask", "_tables",
-    )
+    __slots__ = ("variables", "edges", "_index", "_pa", "_ch", "_topo", "_hash", "_tables")
 
     def __init__(self, variables: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.variables: tuple[str, ...] = tuple(variables)
         self._index = {v: i for i, v in enumerate(self.variables)}
         if len(self._index) != len(self.variables):
             raise ValueError("duplicate variable names")
-        pa: list[set[int]] = [set() for _ in self.variables]
-        ch: list[set[int]] = [set() for _ in self.variables]
-        # the same relation as bitmasks (bit i is variable i), for the
-        # d-separation sweep
-        pa_mask = [0] * len(self.variables)
-        ch_mask = [0] * len(self.variables)
-        seen: set[tuple[int, int]] = set()
+        # parents and children of each variable as bitmasks (bit i is
+        # variable i)
+        pa = [0] * len(self.variables)
+        ch = [0] * len(self.variables)
         for a, b in edges:
             ia, ib = self._resolve(a), self._resolve(b)
             if ia == ib:
                 raise ValueError(f"self edge on {a!r}")
-            if (ia, ib) in seen:
+            if pa[ib] >> ia & 1:
                 raise ValueError(f"duplicate edge {a!r} -> {b!r}")
-            seen.add((ia, ib))
-            pa[ib].add(ia)
-            ch[ia].add(ib)
-            pa_mask[ib] |= 1 << ia
-            ch_mask[ia] |= 1 << ib
-        self._pa = tuple(frozenset(s) for s in pa)
-        self._ch = tuple(frozenset(s) for s in ch)
-        self._pa_mask = tuple(pa_mask)
-        self._ch_mask = tuple(ch_mask)
+            pa[ib] |= 1 << ia
+            ch[ia] |= 1 << ib
+        self._pa = tuple(pa)
+        self._ch = tuple(ch)
         self.edges: frozenset[tuple[str, str]] = frozenset(
-            (self.variables[a], self.variables[b]) for a, b in seen
+            (self.variables[a], self.variables[b]) for b, m in enumerate(pa) for a in iter_bits(m)
         )
         self._topo = self._toposort()
         self._hash: int | None = None
@@ -68,16 +58,15 @@ class Dag:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def _toposort(self) -> tuple[int, ...]:
-        # children are visited in index order so the resulting order is a
-        # pure function of the graph, independent of set iteration order
-        # (and with it of the process hash seed)
-        indeg = [len(p) for p in self._pa]
+        # children are visited in index order, so the order is a pure
+        # function of the graph; forward_sample draws in this order
+        indeg = [p.bit_count() for p in self._pa]
         queue = deque(i for i, d in enumerate(indeg) if d == 0)
         order: list[int] = []
         while queue:
             v = queue.popleft()
             order.append(v)
-            for c in sorted(self._ch[v]):
+            for c in iter_bits(self._ch[v]):
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
@@ -109,20 +98,22 @@ class Dag:
         """Dense index of a variable in declaration order."""
         return self._resolve(name)
 
+    def _names(self, mask: int) -> frozenset[str]:
+        return frozenset(map(self.variables.__getitem__, iter_bits(mask)))
+
     def parents(self, v: str) -> frozenset[str]:
-        return frozenset(self.variables[i] for i in self._pa[self._resolve(v)])
+        return self._names(self._pa[self._resolve(v)])
 
     def children(self, v: str) -> frozenset[str]:
-        return frozenset(self.variables[i] for i in self._ch[self._resolve(v)])
+        return self._names(self._ch[self._resolve(v)])
 
     def spouses(self, v: str) -> frozenset[str]:
         """Parents of v's children that are neither v nor adjacent to v."""
         vi = self._resolve(v)
-        out: set[int] = set()
-        for c in self._ch[vi]:
+        out = 0
+        for c in iter_bits(self._ch[vi]):
             out |= self._pa[c]
-        out -= {vi} | self._pa[vi] | self._ch[vi]
-        return frozenset(self.variables[i] for i in out)
+        return self._names(out & ~(1 << vi | self._pa[vi] | self._ch[vi]))
 
     def markov_blanket(self, v: str) -> frozenset[str]:
         """Parents, children and spouses of v."""
@@ -191,7 +182,7 @@ class Dag:
         graphs are never swept, and the tables take 2 x 256 entries per
         chunk. ``==`` and ``hash`` ignore them.
         """
-        pa, ch = self._pa_mask, self._ch_mask
+        pa, ch = self._pa, self._ch
         tables = []
         for base in range(0, len(pa), 8):
             pa_or, ch_or = [0], [0]
@@ -303,73 +294,3 @@ def is_conservative(family: InterventionFamily) -> bool:
         if all(v in s for s in family.sets):
             return False
     return True
-
-
-# -- brute-force oracle ----------------------------------------------------
-#
-# Independent cross-check for Dag.d_separated: enumerate every undirected
-# simple path and apply the blocking rule literally, path by path. Intended
-# for small graphs only.
-
-
-@functools.lru_cache(maxsize=65536)
-def _descendants_ix(dag: Dag, v: int) -> frozenset[int]:
-    seen: set[int] = set()
-    stack = list(dag._ch[v])
-    while stack:
-        u = stack.pop()
-        if u not in seen:
-            seen.add(u)
-            stack.extend(dag._ch[u])
-    return frozenset(seen)
-
-
-@functools.lru_cache(maxsize=65536)
-def _paths_between(dag: Dag, xi: int, yi: int) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
-    """All simple undirected paths xi..yi as (non-colliders, colliders) pairs."""
-    adjacency = [dag._pa[i] | dag._ch[i] for i in range(len(dag.variables))]
-    paths: list[tuple[frozenset[int], tuple[int, ...]]] = []
-
-    def extend(path: list[int], visited: set[int]) -> None:
-        tail = path[-1]
-        for nxt in adjacency[tail]:
-            if nxt in visited:
-                continue
-            if nxt == yi:
-                full = path + [nxt]
-                noncolliders: set[int] = set()
-                colliders: list[int] = []
-                for k in range(1, len(full) - 1):
-                    prev, mid, fol = full[k - 1], full[k], full[k + 1]
-                    if prev in dag._pa[mid] and fol in dag._pa[mid]:
-                        colliders.append(mid)
-                    else:
-                        noncolliders.add(mid)
-                paths.append((frozenset(noncolliders), tuple(colliders)))
-            else:
-                extend(path + [nxt], visited | {nxt})
-
-    extend([xi], {xi})
-    return tuple(paths)
-
-
-def brute_force_d_separated(dag: Dag, x: str, y: str, z: Iterable[str] = ()) -> bool:
-    """Same contract as Dag.d_separated, by exhaustive path enumeration."""
-    xi, yi = dag._resolve(x), dag._resolve(y)
-    zi = frozenset(dag._resolve(v) for v in z)
-    if xi == yi:
-        raise ValueError(f"x and y must differ, both are {x!r}")
-    if xi in zi or yi in zi:
-        raise ValueError("x and y must not be in the conditioning set")
-    for noncolliders, colliders in _paths_between(dag, xi, yi):
-        if noncolliders & zi:
-            continue  # blocked by a conditioned chain/fork node
-        open_path = True
-        for c in colliders:
-            if c not in zi and not (_descendants_ix(dag, c) & zi):
-                open_path = False
-                break
-        if open_path:
-            return False
-    return True
-

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .citest import CiBackend
+from .citest import CiBackend, first_separation
 from .util import iter_subsets, union_and_intersection
 
 
@@ -48,8 +48,10 @@ def hiton_pc(
     members is dropped and its separating set recorded. The pass deliberately
     re-searches all subsets each time, which is the documented cost profile
     of this family of algorithms; on a fixed dataset re-tests are replays,
-    so only the test count grows. Variables never admitted keep the set that
-    first separated them (the empty set for marginal independence).
+    so only the test count grows. Each member's search is one
+    :func:`~mimb.citest.first_separation` call. Variables never admitted
+    keep the set that first separated them (the empty set for marginal
+    independence).
     """
     ranked: list[tuple[float, int, str]] = []
     sepsets: dict[str, frozenset[str]] = {}
@@ -70,12 +72,11 @@ def hiton_pc(
             if u not in pc:
                 continue
             pool = [w for w in pc if w != u]
-            for subset in iter_subsets(pool, max_cond_size):
-                res = backend.test(u, target, subset, dataset_index)
-                if res.independent:
-                    pc.remove(u)
-                    sepsets[u] = frozenset(subset)
-                    break
+            search = ((s, (dataset_index,)) for s in iter_subsets(pool, max_cond_size))
+            found = first_separation(backend, u, target, search)
+            if found is not None:
+                pc.remove(u)
+                sepsets[u] = frozenset(found[0])
     return pc, sepsets
 
 

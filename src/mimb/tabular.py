@@ -230,23 +230,6 @@ def apply_mask(table: Table, mask: np.ndarray, by: str) -> tuple[Table, Table]:
     )
 
 
-def split_rows(
-    table: Table,
-    by: str,
-    *,
-    threshold: float | None = None,
-    label: str | None = None,
-) -> tuple[Table, Table]:
-    """Partition rows on one variable; the variable is kept in both halves.
-
-    With ``threshold``, the first half takes rows whose (numeric) value is
-    strictly below it. With ``label``, the first half takes rows equal to
-    the label. Either half being empty is an error.
-    """
-    mask = split_mask(table, by, threshold=threshold, label=label)
-    return apply_mask(table, mask, by)
-
-
 # -- discrete dataset CSV ------------------------------------------------------
 
 
@@ -405,16 +388,23 @@ def load_bundle(
     for path, table in zip(paths[1:], tables[1:]):
         if table.columns != columns:
             raise ValueError(f"{path}: columns differ from those of {paths[0]}")
-    declared = dict(zip(columns, _column_states(tables, states)))
+    try:
+        declared = dict(zip(columns, _column_states(tables, states)))
+    except ValueError as exc:
+        raise ValueError(f"{paths[0]}: {exc}") from None
     interventions = manifest.get("interventions")
     tags = (
         [None] * len(tables)
         if interventions is None
         else [frozenset(s) for s in interventions]
     )
-    return DatasetBundle(
-        table_to_dataset(table, declared, tag) for table, tag in zip(tables, tags)
-    )
+    datasets = []
+    for path, table, tag in zip(paths, tables, tags):
+        try:
+            datasets.append(table_to_dataset(table, declared, tag))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return DatasetBundle(datasets)
 
 
 def family_from_manifest(manifest: Mapping) -> InterventionFamily:

@@ -33,6 +33,14 @@ def iter_subsets(
             yield head + (containing,)
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def union_and_intersection(
     blankets: Iterable[AbstractSet[str]],
 ) -> tuple[frozenset[str], frozenset[str]]:

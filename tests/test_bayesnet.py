@@ -10,10 +10,11 @@ from mimb import (
     format_network,
     forward_sample,
     g2_test,
-    joint_table,
     parse_network,
     randomize_manipulated_cpts,
 )
+
+from reference import joint_table
 
 TWO_VAR = """\
 # toy network

@@ -416,6 +416,27 @@ class TestExitCodes:
         message = message.format(d0=tmp_path / "d0.csv", d1=tmp_path / "d1.csv")
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("A,T\na,a\n", "A,T\na,a\nb,a2\n", "{d1}: row 1: label 'a2' not among the states of 'T'"),
+            ("A,A\na,a\n", "A,A\nb,b\n", "{d0}: duplicate variable names"),
+            ("A,X\na,a\n", "A,X\nb,b\n", "{d0}: column 'X' has no declared states"),
+        ],
+    )
+    def test_a_csv_that_breaks_the_declared_states_is_named(
+        self, first, second, message, tmp_path, capsys
+    ):
+        (tmp_path / "d0.csv").write_text(first)
+        (tmp_path / "d1.csv").write_text(second)
+        # the network declares the states a and b of A and T
+        (tmp_path / "net.net").write_text("VAR A a b\nVAR T a b\nCPT A\n0.5 0.5\nCPT T\n0.5 0.5\n")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"datasets": ["d0.csv", "d1.csv"], "network": "net.net"}))
+        assert run_cli("discover", "--manifest", path, "--target", "T") == 2
+        message = message.format(d0=tmp_path / "d0.csv", d1=tmp_path / "d1.csv")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unparsable_csv_is_an_input_error(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text('A,T\n"a' + "x" * 200_000 + '",b\n')
         path = tmp_path / "manifest.json"

@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 from mimb import (
     Dag,
     InterventionFamily,
-    brute_force_d_separated,
     generate_intervention_family,
     is_conservative,
     random_dag,
 )
 from mimb.util import iter_subsets
+
+from reference import brute_force_d_separated
 
 
 def per_bit_connected_mask(dag: Dag, yi: int, zmask: int) -> int:
@@ -33,9 +34,9 @@ def per_bit_connected_mask(dag: Dag, yi: int, zmask: int) -> int:
             bit = m & -m
             v = bit.bit_length() - 1
             if to_parents & bit:
-                up |= dag._pa_mask[v]
+                up |= dag._pa[v]
             if to_children & bit:
-                down |= dag._ch_mask[v]
+                down |= dag._ch[v]
             m ^= bit
         up &= ~up_seen
         down &= ~down_seen

@@ -22,7 +22,6 @@ from mimb.tabular import (
     read_manifest,
     read_table,
     split_mask,
-    split_rows,
     table_to_dataset,
     write_bundle,
     write_table,
@@ -82,7 +81,8 @@ def _reference_table_to_dataset(columns, rows, states=None, intervention=None):
 def _reference_load_bundle(manifest_path, states=None):
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     base = Path(manifest_path).parent
-    tables = [_reference_read_table(base / name) for name in manifest["datasets"]]
+    paths = [base / name for name in manifest["datasets"]]
+    tables = [_reference_read_table(path) for path in paths]
     columns = tables[0][0]
     union = {
         c: tuple(sorted({row[j] for _, rows in tables for row in rows}))
@@ -94,10 +94,13 @@ def _reference_load_bundle(manifest_path, states=None):
         if interventions is None
         else [frozenset(s) for s in interventions]
     )
-    return DatasetBundle(
-        _reference_table_to_dataset(*t, states or union, intervention=tag)
-        for t, tag in zip(tables, tags)
-    )
+    datasets = []
+    for path, t, tag in zip(paths, tables, tags):
+        try:
+            datasets.append(_reference_table_to_dataset(*t, states or union, intervention=tag))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return DatasetBundle(datasets)
 
 
 def _reference_bins(values, bins):
@@ -294,26 +297,26 @@ class TestDiscretize:
 class TestSplit:
     def test_threshold_split_keeps_the_variable(self):
         t = table_of(("d", "o"), [(str(i), "x") for i in range(10)])
-        low, high = split_rows(t, "d", threshold=4)
+        low, high = apply_mask(t, split_mask(t, "d", threshold=4), "d")
         assert low.n_rows == 4 and high.n_rows == 6
         assert "d" in low.columns and "d" in high.columns
 
     def test_label_split(self):
         t = table_of(("g",), [("m",), ("f",), ("m",)])
-        first, second = split_rows(t, "g", label="m")
+        first, second = apply_mask(t, split_mask(t, "g", label="m"), "g")
         assert first.n_rows == 2 and second.n_rows == 1
 
     def test_empty_partition_is_an_error(self):
         t = numeric_table([1, 2, 3])
         with pytest.raises(ValueError, match="empty partition"):
-            split_rows(t, "v", threshold=0)
+            apply_mask(t, split_mask(t, "v", threshold=0), "v")
 
     def test_exactly_one_rule(self):
         t = numeric_table([1, 2])
         with pytest.raises(ValueError):
-            split_rows(t, "v")
+            split_mask(t, "v")
         with pytest.raises(ValueError):
-            split_rows(t, "v", threshold=1, label="1")
+            split_mask(t, "v", threshold=1, label="1")
 
 
 class TestDatasetConversion:
@@ -356,6 +359,24 @@ class TestManifests:
         for a, b in zip(loaded, bundle):
             assert (a.rows == b.rows).all()
         assert loaded.interventions() == [frozenset({"A"}), frozenset()]
+
+    @pytest.mark.parametrize(
+        "first, second, states, message",
+        [
+            ("A,T\na,a\n", "A,T\nb,a2\n", {"A": "ab", "T": "ab"},
+             "{d1}: row 0: label 'a2' not among the states of 'T'"),
+            ("A,A\na,a\n", "A,A\nb,b\n", None, "{d0}: duplicate variable names"),
+            ("A,T\na,a\n", "A,T\nb,b\n", {"A": "ab"}, "{d0}: column 'T' has no declared states"),
+        ],
+    )
+    def test_a_content_error_names_its_csv(self, first, second, states, message, tmp_path):
+        (tmp_path / "d0.csv").write_text(first)
+        (tmp_path / "d1.csv").write_text(second)
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(json.dumps({"datasets": ["d0.csv", "d1.csv"]}))
+        with pytest.raises(ValueError) as info:
+            load_bundle(path, states)
+        assert str(info.value) == message.format(d0=tmp_path / "d0.csv", d1=tmp_path / "d1.csv")
 
     def test_manifest_without_datasets_key(self, tmp_path):
         path = tmp_path / "manifest.json"
