@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,31 @@ class TestChiSquareUpperTail:
     def test_rejects_bad_dof(self):
         with pytest.raises(ValueError):
             chi_square_upper_tail(1.0, 0)
+
+    def test_bit_identical_to_gammaincc_from_the_first_call(self):
+        # scipy is bound on the first tail a process computes, so the first
+        # call runs in a fresh interpreter before anything else loads scipy
+        script = (
+            "import sys\n"
+            "from mimb import chi_square_upper_tail as tail\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "first = tail(3.841, 1)\n"
+            "from scipy.special import gammaincc\n"
+            "def ref(s, d): return float(gammaincc(d / 2, s / 2)).hex()\n"
+            "bad = [] if first.hex() == ref(3.841, 1) else [(3.841, 1)]\n"
+            "for d in range(1, 601):\n"
+            "    for s in (1e-12, 0.5, 3.841, 42.0, 1e4, float('inf')):\n"
+            "        if tail(s, d).hex() != ref(s, d): bad.append((s, d))\n"
+            "print(bad)\n"
+        )
+        src = Path(mimb.citest.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestG2Statistic:

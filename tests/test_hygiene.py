@@ -8,6 +8,9 @@ the public re-exports; ``mimb.__all__`` must list exactly those.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -216,3 +219,68 @@ def test_algorithms_use_only_the_backend_protocol(path):
 )
 def test_the_protocol_check_itself(source, uses):
     assert off_protocol_backend_uses(source, {"h"}) == uses
+
+
+# Run in a fresh interpreter; prints the steps after which a scipy module
+# was loaded, one per line, each with whether scipy.special was among them.
+SCIPY_FREE_SCRIPT = """
+import contextlib, io, sys
+from importlib.resources import files
+
+def loaded(step):
+    mods = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    if mods:
+        print(step, "scipy.special" in sys.modules)
+
+out = sys.argv[1]
+import mimb
+from mimb import cli
+loaded("import mimb")
+dag, family = mimb.trace_example()
+mimb.mimb(mimb.OracleBackend(dag, family), "T")
+loaded("oracle mimb")
+mimb.fuzz_theorems(1, seed=0)
+loaded("fuzz_theorems")
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit:
+        pass
+    loaded("--help")
+    assert cli.main(["verify-theorems", "--trials", "1"]) == 0
+    loaded("verify-theorems")
+    net = str(files("mimb") / "data" / "alarm.net")
+    assert cli.main(["generate", "--network", net, "--target", "VTUB",
+                     "--n-datasets", "2", "--samples", "200", "--out", out]) == 0
+    loaded("generate")
+    assert cli.main(["discover", "--manifest", out + "/manifest.json",
+                     "--target", "VTUB", "--backend", "oracle"]) == 0
+    loaded("discover --backend oracle")
+for dof in (1, 7):
+    assert mimb.chi_square_upper_tail(0.0, dof) == 1.0
+try:
+    mimb.chi_square_upper_tail(1.0, 0)
+    raise AssertionError("dof 0 was accepted")
+except ValueError:
+    pass
+loaded("chi_square_upper_tail without a tail")
+from mimb.tabular import load_bundle
+bundle = load_bundle(out + "/manifest.json")
+mimb.g2_test(bundle[0], "VTUB", "VLNG", ["INT"])
+loaded("g2_test")
+"""
+
+
+def test_scipy_loads_only_for_a_g2_p_value(tmp_path):
+    # only the G-squared p-value needs scipy, so the oracle, the fuzzer and
+    # the CLI commands that compute none never pay for importing it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path / "bundle")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["g2_test True"]
