@@ -5,14 +5,17 @@ same call shape stands in for it when ideal tests are wanted. Each backend
 counts every test it answers in its ledger, because the number of tests is
 itself a reported metric; a direct ``g2_test`` call is not counted.
 
-``g2_test`` and ``DataBackend`` share one private kernel; the public
+``g2_test`` and ``DataBackend.test`` share one private kernel; the public
 ``contingency_counts`` and ``g2_statistic`` compute the same statistic the
-plain way and serve as its reference.
+plain way and serve as its reference. ``DataBackend``'s separator searches
+count several tests at once in a batched kernel whose answers are those of
+the single-test one, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
@@ -24,6 +27,12 @@ from .graph import Dag, InterventionFamily
 # A G-squared test is reliable only with at least this many rows per cell of
 # its full contingency table (and a positive dof).
 MIN_ROWS_PER_CELL = 5
+
+# DataBackend's bulk search computes the first misses of a separator search
+# in a batch of this many, and each later batch of the search holds twice
+# as many as the one before, up to _MAX_BATCH (see _read_ahead).
+_FIRST_BATCH = 8
+_MAX_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -208,11 +217,97 @@ def _g2(
     # per-stratum (rx' - 1)(ry' - 1) over the states seen in the stratum;
     # an empty stratum has rx' = ry' = 0 and would add 1, so drop those
     dof = int(np.dot((n_x > 0).sum(axis=0) - 1, (n_y > 0).sum(axis=0) - 1))
-    dof -= nz - np.count_nonzero(n_z)
+    dof -= nz - int(np.count_nonzero(n_z))
 
     reliable = n >= MIN_ROWS_PER_CELL * n_cells and dof > 0
     p_value = chi_square_upper_tail(stat, dof) if dof > 0 else 1.0
     return CiResult(stat, dof, p_value, bool(reliable and p_value > alpha), reliable)
+
+
+def _g2_batch(
+    bundle: DatasetBundle,
+    tests: Sequence[tuple[str, str, tuple[str, ...], int]],
+    alpha: float,
+) -> list[CiResult]:
+    """:func:`_g2` of each ``(x, y, zs, dataset_index)`` of ``tests``, in
+    one count and one reduction.
+
+    The tests share x and y, their arguments are canonical, and each z has
+    no more configurations than its dataset has rows, so :func:`_g2` would
+    keep every table dense. The strata of all the tests lie side by side:
+    test t takes the configurations ``offset_t .. offset_t + nz_t - 1`` of
+    one table of ``rx * ry * sum(nz)`` cells, counted by one bincount over
+    all the tests' rows. Margins, ratios and logs are taken over every
+    stratum at once, each dof is summed over its own strata, and each
+    statistic is one ``np.vdot`` over its own ``(rx, ry, nz_t)`` slice, so
+    every value and every sum is the one :func:`_g2` computes, bit for bit.
+    """
+    schema = bundle.schema
+    states = schema.states
+    i, j = schema.index(tests[0][0]), schema.index(tests[0][1])
+    rx, ry = len(states[i]), len(states[j])
+    plans = []
+    offsets = []
+    n_configs = 0
+    n_keys = 0
+    for _, _, zs, k in tests:
+        columns = [schema.index(v) for v in zs]
+        cards = [len(states[c]) for c in columns]
+        offsets.append(n_configs)
+        n_configs += math.prod(cards)
+        n_keys += bundle[k].n_rows
+        plans.append((columns, cards, k))
+
+    # key = (x * ry + y) * n_configs + offset + zkey, one slice per test,
+    # zkey composed as _g2 composes it
+    keys = np.empty(n_keys, dtype=np.int64)
+    pairs: dict[int, np.ndarray] = {}
+    start = 0
+    for (columns, cards, k), offset in zip(plans, offsets):
+        rows = bundle[k].rows
+        pair = pairs.get(k)
+        if pair is None:
+            pair = pairs[k] = rows[:, i] * ry
+            pair += rows[:, j]
+            pair *= n_configs
+        out = keys[start : start + len(rows)]
+        start += len(rows)
+        if not columns:
+            np.add(pair, offset, out=out)
+            continue
+        zkey = rows[:, columns[0]]
+        for c, card in zip(columns[1:], cards[1:]):
+            np.multiply(zkey, card, out=out)
+            out += rows[:, c]
+            zkey = out
+        np.add(zkey, pair, out=out)
+        if offset:
+            out += offset
+    counts = np.bincount(keys, minlength=rx * ry * n_configs).reshape(rx, ry, n_configs)
+
+    # the reduction of _g2, over every stratum of every test
+    n_x = counts.sum(axis=1)
+    n_y = counts.sum(axis=0)
+    n_z = n_x.sum(axis=0)
+    margins = n_x[:, None, :] * n_y[None, :, :]
+    ratio = np.divide(counts * n_z, margins, out=np.ones(counts.shape), where=counts > 0)
+    logs = np.log(ratio)
+    strata = ((n_x > 0).sum(axis=0) - 1) * ((n_y > 0).sum(axis=0) - 1) - (n_z == 0)
+    dofs = np.add.reduceat(strata, offsets).tolist()
+
+    results = []
+    bounds = offsets + [n_configs]
+    for (_, _, k), lo, hi, dof in zip(plans, bounds, bounds[1:], dofs):
+        # vdot casts the counts to a contiguous copy; the logs of one
+        # stratum would go to BLAS as a strided view, summed in another
+        # order than _g2's contiguous one, which can change the last bit
+        dot = np.vdot(counts[:, :, lo:hi], np.ascontiguousarray(logs[:, :, lo:hi]))
+        stat = max(2.0 * float(dot), 0.0)
+        n_cells = rx * ry * (hi - lo)
+        reliable = bundle[k].n_rows >= MIN_ROWS_PER_CELL * n_cells and dof > 0
+        p_value = chi_square_upper_tail(stat, dof) if dof > 0 else 1.0
+        results.append(CiResult(stat, dof, p_value, bool(reliable and p_value > alpha), reliable))
+    return results
 
 
 def g2_test(
@@ -263,15 +358,18 @@ def first_separation(
     independent given z, or None when no test does.
 
     ``candidates`` yields ``(z, datasets)`` in search order, lazily if the
-    caller likes, and is read no further than the separation. The test of
-    x and y given z is asked in each of the datasets in turn. A backend
-    whose class has a ``first_separation(x, y, candidates)`` method answers
-    the whole search in one call; it must ask exactly the queries of the
-    loop below, in the same order, with the same ledger counts, memo and
-    errors. Any other backend is asked query by query through ``test``, and
-    that loop is the definition the bulk methods are checked against. So is
-    a backend whose class overrides ``test`` below the class that supplies
-    the bulk method: the inherited method would bypass its ``test``.
+    caller likes. The test of x and y given z is asked in each of the
+    datasets in turn. A backend whose class has a
+    ``first_separation(x, y, candidates)`` method answers the whole search
+    in one call; it must ask exactly the queries of the loop below, in the
+    same order, with the same ledger counts, memo and errors. It may read
+    candidates past the separation to compute them ahead, as
+    :class:`DataBackend` does, but never to count, memoise or raise. Any
+    other backend is asked query by query through ``test``, and that loop,
+    which reads no candidate past the separation, is the definition the
+    bulk methods are checked against. So is a backend whose class overrides
+    ``test`` below the class that supplies the bulk method: the inherited
+    method would bypass its ``test``.
     """
     for cls in type(backend).__mro__:
         if "first_separation" in vars(cls):
@@ -302,6 +400,8 @@ class DataBackend:
         self.variables = bundle.schema.names
         self.ledger = TestLedger(len(bundle))
         self._memo: dict[tuple[str, str, tuple[str, ...], int], CiResult] = {}
+        self._cards = dict(zip(bundle.schema.names, bundle.schema.cardinalities))
+        self._sizes = [data.n_rows for data in bundle]
 
     @property
     def n_datasets(self) -> int:
@@ -318,6 +418,126 @@ class DataBackend:
             self.ledger.hits[dataset_index] += 1
         self.ledger.counts[dataset_index] += 1
         return res
+
+    def first_separation(
+        self,
+        x: str,
+        y: str,
+        candidates: Iterable[tuple[tuple[str, ...], Iterable[int]]],
+    ) -> tuple[tuple[str, ...], int] | None:
+        """:func:`first_separation` in one call; :meth:`test` is the
+        single-query path.
+
+        The queries are walked in search order and a memo hit is answered
+        from the memo. A miss is computed together with the next misses of
+        the search, read ahead, in one :func:`_g2_batch` (see
+        :meth:`_read_ahead`); a miss whose z has more configurations than
+        its dataset has rows is left to :func:`_g2`. Only walked queries
+        are counted and memoised, and results read past the separation are
+        dropped, so the answer, the ledger, the memo and every error are
+        those of the query-by-query loop.
+        """
+        memo, counts, hits = self._memo, self.ledger.counts, self.ledger.hits
+        queries = self._queries(x, y, candidates)
+        ahead: deque = deque()  # queries read ahead, and what stopped them
+        computed: dict = {}  # results of read-ahead misses not walked yet
+        size = _FIRST_BATCH
+        while True:
+            if ahead:
+                query = ahead.popleft()
+                if isinstance(query, Exception):
+                    raise query
+            else:
+                query = next(queries, None)
+                if query is None:
+                    return None
+            z, key = query
+            k = key[3]
+            res = memo.get(key)
+            if res is not None:
+                hits[k] += 1
+            else:
+                res = computed.pop(key, None)
+                if res is None:
+                    batch = self._read_ahead(key, queries, ahead, computed, size)
+                    if len(batch) > 1:
+                        computed.update(zip(batch, _g2_batch(self.bundle, batch, self.alpha)))
+                        res = computed.pop(key)
+                        size = min(2 * size, _MAX_BATCH)
+                    else:
+                        res = _g2(self.bundle[k], *key[:3], self.alpha)
+                memo[key] = res
+            counts[k] += 1
+            if res.independent:
+                return z, k
+
+    def _queries(self, x: str, y: str, candidates):
+        """Each query of a search as ``(z, key)``, ``key`` being its memo
+        key, checked as :meth:`test` checks it: the canonical form first,
+        then the dataset index, then the names. So the generator raises at
+        the query that :meth:`test` would raise at."""
+        bundle, cards = self.bundle, self._cards
+        n = len(bundle)
+        for z, datasets in candidates:
+            names = None
+            for k in datasets:
+                if names is None:
+                    names = _canonical(x, y, z)
+                    unchecked = True
+                if not 0 <= k < n:
+                    _dataset(bundle, k)  # raises
+                if unchecked:
+                    for v in (names[0], names[1], *names[2]):
+                        if v not in cards:
+                            bundle.schema.index(v)  # raises
+                    unchecked = False
+                yield z, (*names, k)
+
+    def _read_ahead(self, key, queries, ahead, computed, size) -> list:
+        """The batch of a miss: ``key`` and the next misses of the search,
+        up to ``size`` keys in all; ``key`` alone when its z has more
+        configurations than its dataset has rows.
+
+        Queries read from ``queries`` are appended to ``ahead``, and a
+        query that raises stops the reading and is kept there as its
+        error, to be raised when the walk gets to it. A repeat is left out,
+        and so is a miss whose z has more configurations than its dataset
+        has rows. The batch ends before a test that would give the table
+        more cells than the batch has rows, so the table is never larger
+        than the keys.
+        """
+        memo, cards, sizes = self._memo, self._cards, self._sizes
+        x, y, zs, k = key
+        pair = cards[x] * cards[y]
+        n_cells, n_rows = pair, sizes[k]
+        for v in zs:
+            n_cells *= cards[v]
+        batch = {key: None}
+        if n_cells > pair * n_rows:
+            return list(batch)
+        while len(batch) < size:
+            try:
+                query = next(queries)
+            except StopIteration:
+                break
+            except Exception as exc:
+                ahead.append(exc)
+                break
+            ahead.append(query)
+            key = query[1]
+            if key in memo or key in computed or key in batch:
+                continue
+            cells, rows = pair, sizes[key[3]]
+            for v in key[2]:
+                cells *= cards[v]
+            if cells > pair * rows:
+                continue
+            n_cells += cells
+            n_rows += rows
+            if n_cells > n_rows:
+                break
+            batch[key] = None
+        return list(batch)
 
 
 def _dataset(items: Sequence, dataset_index: int):

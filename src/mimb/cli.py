@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--conservative", action=argparse.BooleanOptionalAction, default=True)
     sampling.add_argument("--cover-children", action="store_true")
     sampling.add_argument("--max-targets", type=_int_at_least(1), default=None)
-    sampling.add_argument("--seed", type=int, default=0)
+    sampling.add_argument("--seed", type=_int_at_least(0), default=0)
 
     # how discover and benchmark run the conditional independence tests
     testing = argparse.ArgumentParser(add_help=False)
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--edge-prob", type=_float_between(0, 1, include_high=True), default=0.3)
     p.add_argument("--n-datasets", type=_int_range, default="2-4")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_theorems)
 

@@ -88,34 +88,39 @@ def _ids_in(col: np.ndarray, n_labels: int) -> np.ndarray:
 def read_table(path: str | Path) -> Table:
     """A CSV file as a Table of its stripped header and stripped cells.
 
-    One pass numbers the distinct raw cells in first-seen order, and each
-    is stripped once. A UTF-8 byte-order mark before the header is dropped,
-    and blank lines are skipped.
+    The cells are numbered as ``csv.reader`` yields each row, distinct raw
+    cells in first-seen order, so no more than the codes and the distinct
+    labels are held at once; each label is stripped once. Each row's width
+    is checked as it comes. A UTF-8 byte-order mark before the header is
+    dropped, and blank lines are skipped.
     """
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # an unseen cell gets the next id
+    n_rows = 0
+
+    def checked(rows: Iterable[list[str]]) -> Iterable[list[str]]:
+        nonlocal n_rows
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"{path}: row {n_rows} has {len(row)} cells, expected {width}")
+            n_rows += 1
+            yield row
+
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
-            rows = list(filter(None, reader))  # blank lines parse as []
+            width = len(header)
+            rows = checked(filter(None, reader))  # blank lines parse as []
+            codes = np.fromiter(map(ids.__getitem__, chain.from_iterable(rows)), dtype=np.intp)
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
-    width = len(header)
-    if set(map(len, rows)) - {width}:
-        i = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise ValueError(f"{path}: row {i} has {len(rows[i])} cells, expected {width}")
-    ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__  # an unseen cell gets the next id
-    codes = np.fromiter(
-        map(ids.__getitem__, chain.from_iterable(rows)),
-        dtype=np.intp,
-        count=len(rows) * width,
-    )
     return Table(
         tuple(map(str.strip, header)),
         [cell.strip() for cell in ids],
-        codes.reshape(len(rows), width),
+        codes.reshape(n_rows, width),
     )
 
 

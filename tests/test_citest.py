@@ -30,7 +30,8 @@ from mimb import (
     random_dag,
     trace_example,
 )
-from mimb.citest import CiResult, TestLedger as Ledger
+from mimb.bayesnet import DatasetBundle
+from mimb.citest import CiResult, TestLedger as Ledger, _g2, _g2_batch, first_separation
 
 from reference import brute_force_d_separated
 
@@ -397,6 +398,111 @@ class TestKernelProperties:
         other = g2_test(relabelled, x, y, z)
         assert (other.dof, other.reliable) == (res.dof, res.reliable)
         assert other.statistic == pytest.approx(res.statistic, rel=1e-9, abs=1e-9)
+
+
+def _chained_dataset(rng, cards, n_rows, copy) -> Dataset:
+    """Columns V0, V1, ..., each after the first a copy of the one before
+    (modulo its own cardinality) in about ``copy`` of the rows and uniform
+    in the others."""
+    columns = [rng.integers(0, cards[0], n_rows)]
+    for card in cards[1:]:
+        fresh = rng.integers(0, card, n_rows)
+        columns.append(np.where(rng.random(n_rows) < copy, columns[-1] % card, fresh))
+    names = tuple(f"V{i}" for i in range(len(cards)))
+    schema = Schema(names, tuple(tuple(map(str, range(c))) for c in cards))
+    return Dataset(schema, np.column_stack(columns))
+
+
+@st.composite
+def _batches(draw):
+    """A bundle of one to three datasets of six variables with 2 to 5
+    states, and tests of V0 and V1 given 0 to 4 of the others, canonical,
+    each in one of the datasets."""
+    cards = draw(st.lists(st.integers(2, 5), min_size=6, max_size=6))
+    sizes = draw(st.lists(st.sampled_from([7, 40, 400, 3000]), min_size=1, max_size=3))
+    copy = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bundle = DatasetBundle([_chained_dataset(rng, cards, n, copy) for n in sizes])
+    z = st.lists(st.sampled_from(["V2", "V3", "V4", "V5"]), max_size=4, unique=True)
+    tests = draw(
+        st.lists(st.tuples(z, st.integers(0, len(sizes) - 1)), min_size=1, max_size=12)
+    )
+    return bundle, [("V0", "V1", tuple(sorted(zs)), k) for zs, k in tests]
+
+
+def _bits(res: CiResult) -> tuple:
+    return (res.statistic.hex(), res.dof, res.p_value.hex(), res.reliable, res.independent)
+
+
+def _is_dense(bundle, test) -> bool:
+    """Whether ``test``'s z has no more configurations than its dataset has
+    rows, as the batched kernel requires."""
+    schema = bundle.schema
+    return math.prod(len(schema.states_of(v)) for v in test[2]) <= bundle[test[3]].n_rows
+
+
+class TestBatchedKernel:
+    """``_g2_batch`` and the bulk search of ``DataBackend`` against ``_g2``,
+    bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_batches(), st.sampled_from([0.01, 0.05, 0.5]))
+    def test_a_batch_equals_g2(self, batch, alpha):
+        bundle, tests = batch
+        dense = [t for t in tests if _is_dense(bundle, t)]
+        results = _g2_batch(bundle, dense, alpha) if dense else []
+        assert [_bits(r) for r in results] == [
+            _bits(_g2(bundle[k], x, y, zs, alpha)) for x, y, zs, k in dense
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_batches(), st.sampled_from([0.01, 0.05, 0.5]))
+    def test_a_search_answers_as_g2(self, batch, alpha):
+        # z with more configurations than rows are among the queries too
+        bundle, tests = batch
+        backend = DataBackend(bundle, alpha)
+        candidates = [(zs, [k]) for _, _, zs, k in tests]
+        found = first_separation(backend, "V1", "V0", candidates)
+        walked = candidates
+        if found is not None:
+            walked = candidates[: candidates.index((found[0], [found[1]])) + 1]
+        assert backend.ledger.total == len(walked)
+        assert {key: _bits(r) for key, r in backend._memo.items()} == {
+            ("V0", "V1", zs, k): _bits(_g2(bundle[k], "V0", "V1", zs, alpha))
+            for zs, (k,) in walked
+        }
+
+    def test_batches_double_from_8_to_64_and_leave_wide_z_to_g2(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        bundle = DatasetBundle([_chained_dataset(rng, [3] * 10, n, 1.0) for n in (3000, 20)])
+        batches, single = [], []
+        batched, kernel = mimb.citest._g2_batch, mimb.citest._g2
+        monkeypatch.setattr(
+            mimb.citest, "_g2_batch", lambda b, t, a: batches.append(t) or batched(b, t, a)
+        )
+        monkeypatch.setattr(
+            mimb.citest, "_g2", lambda data, *q: single.append(q) or kernel(data, *q)
+        )
+        # V0 and V1 are copies, so nothing separates them and every query
+        # of the search is asked; in the small dataset each z of three
+        # 3-state names has 27 configurations, more than its 20 rows
+        pool = [f"V{i}" for i in range(2, 10)]
+        subsets = [s for r in range(4) for s in itertools.combinations(pool, r)]
+        backend = DataBackend(bundle)
+        assert first_separation(backend, "V0", "V1", [(s, [0, 1]) for s in subsets]) is None
+        assert backend.ledger.total == 2 * len(subsets) == 186
+        assert [q[2] for q in single] == [s for s in subsets if len(s) == 3]
+        assert [len(b) for b in batches] == [8, 16, 32, 64, 186 - len(single) - 120]
+        assert all(k == 0 or len(zs) < 3 for b in batches for _, _, zs, k in b)
+        # a new query ahead of the same search: read-ahead skips memo hits,
+        # so the new query is computed alone
+        batches.clear()
+        single.clear()
+        wider = ("V2", "V3", "V4", "V5")
+        search = [(wider, [0])] + [(s, [0, 1]) for s in subsets]
+        assert first_separation(backend, "V0", "V1", search) is None
+        assert batches == [] and [q[2] for q in single] == [wider]
+        assert backend.ledger.hits == [len(subsets)] * 2
 
 
 class TestMemo:

@@ -262,6 +262,13 @@ class TestExitCodes:
             ("benchmark", "--reps", 0, "must be 1 or more"),
         ]
         + [
+            # a negative seed used to reach SeedSequence, whose message
+            # names no option
+            (command, "--seed", value, message)
+            for command in ("generate", "benchmark", "verify-theorems")
+            for value, message in [(-1, "must be 0 or more, got -1"), ("x", "expected an integer")]
+        ]
+        + [
             (command, flag, 0, "must be 1 or more")
             for command in ("generate", "benchmark")
             for flag in ("--n-datasets", "--samples", "--max-targets")

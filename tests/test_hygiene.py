@@ -166,6 +166,58 @@ def test_the_csv_reader_check_itself(source, calls):
     assert csv_calls(source) == calls
 
 
+# how a module reads its process environment
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Lines that read ``os.environ`` or call ``os.getenv`` (or their bytes
+    forms), through ``os`` under any name or imported from it by name."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "os" or (not alias.asname and alias.name.startswith("os.")):
+                    modules.add(alias.asname or "os")
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "os"
+        and any(alias.name in ENVIRONMENT for alias in node.names)
+        or isinstance(node, ast.Attribute)
+        and node.attr in ENVIRONMENT
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_the_package_reads_no_environment():
+    # settings such as the bulk search's batch sizes are constants or
+    # options, never environment knobs
+    reads = {p.name: environment_reads(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("import os\nos.environ['X']\n", ["line 2"]),
+        ("import os\nos.getenv('X', '1')\n", ["line 2"]),
+        ("import os as o\nx = 1\no.environ.get('X')\n", ["line 3"]),
+        ("import os.path\nos.environb\n", ["line 2"]),
+        ("from os import getenv\ngetenv('X')\n", ["line 1"]),
+        ("from os import path, environ as e\n", ["line 1"]),
+        ("import os\nos.path.join('a')\nenviron = {}\nx.getenv('X')\n", []),
+        ("import os.path as p\np.environ\n", []),
+    ],
+)
+def test_the_environment_check_itself(source, lines):
+    assert environment_reads(source) == lines
+
+
 # what a backend offers the algorithms: the ``CiBackend`` protocol, which is
 # all a proxy that forwards only ``test`` has
 PROTOCOL = {"test", "variables", "ledger", "n_datasets"}

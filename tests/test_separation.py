@@ -5,8 +5,10 @@ has one and overrides no ``test`` below it, and otherwise asks ``test``
 query by query; that loop is the reference. ``OracleBackend.test`` is
 itself a one-query search, so the reference side here is
 ``PerQueryOracle``, which answers each query on its own with a memo of its
-own. Every check runs the same work on both and asks for the same
-results, the same ledger counts and hits, and the same errors.
+own. On data the reference side is ``LoopedData``, which overrides
+``DataBackend.test`` with itself. Every check runs the same work on both
+and asks for the same results, the same ledger counts and hits, and the
+same errors; on data also for bit-identical memos.
 """
 
 import hashlib
@@ -17,13 +19,19 @@ import pytest
 
 from mimb import (
     CiResult,
+    Dag,
+    DataBackend,
     InterventionFamily,
     OracleBackend,
+    baseline,
+    generate_bundle,
     generate_intervention_family,
     mimb,
+    random_cpts,
     random_dag,
     trace_example,
 )
+from mimb.bayesnet import Dataset, DatasetBundle
 from mimb.citest import first_separation
 
 SEPARATED = CiResult(statistic=0.0, dof=0, p_value=1.0, independent=True, reliable=True)
@@ -333,3 +341,136 @@ def test_random_searches_match_the_query_by_query_loop():
                 )
         assert sum(bulk.ledger.hits) > 0
     assert outcomes == {"none", "error", "found"}
+
+
+# -- the data backend ------------------------------------------------------------
+
+
+class LoopedData(DataBackend):
+    """The data backend query by query: it overrides ``test``, so every
+    separator search comes through ``test``."""
+
+    def test(self, x, y, z, dataset_index):
+        return super().test(x, y, z, dataset_index)
+
+
+def _unequal_bundle(bn, family, sizes, seed):
+    """A bundle sampled from ``bn`` whose datasets keep ``sizes`` rows."""
+    bundle = generate_bundle(bn, family, max(sizes), seed=seed)
+    return DatasetBundle(
+        Dataset(d.schema, d.rows[:n], d.intervention) for d, n in zip(bundle, sizes)
+    )
+
+
+def _bits(backend):
+    """The memo, each float as its hex form, so equal means bit-identical."""
+    return {
+        key: (r.statistic.hex(), r.dof, r.p_value.hex(), r.independent, r.reliable)
+        for key, r in backend._memo.items()
+    }
+
+
+def _same_data_search(reference, bulk, x, y, candidates):
+    """``_same_search`` without the read count, which the bulk data search
+    may exceed to compute ahead, and with the memos compared bit for bit."""
+    answer = _outcome(reference, x, y, candidates)[0]
+    assert _outcome(bulk, x, y, candidates)[0] == answer
+    _same_ledgers(reference, bulk)
+    assert _bits(bulk) == _bits(reference)
+    return answer
+
+
+def _chain_bundle():
+    """The chain V0 -> V1 -> ... -> V5 in datasets of 3000, 500 and 40
+    rows, sampled so that V0 and V1 test dependent given any z, and V1 and
+    V4 given nothing, but not given V2 in the first dataset."""
+    names = [f"V{i}" for i in range(6)]
+    dag = Dag(names, list(zip(names, names[1:])))
+    bn = random_cpts(dag, 3, seed=5)
+    return _unequal_bundle(bn, InterventionFamily([set(), {"V3"}, {"V5"}]), [3000, 500, 40], 4)
+
+
+# V0 and V1 test dependent in every dataset, so no candidate before the bad
+# one separates them and each search is read to its end
+BAD_DATA_SEARCHES = {
+    "unknown name in a later z": (
+        "V0", "V1", [(("V2",), [0, 1, 2]), (("V3", "NOPE"), [1, 2])], "unknown variable 'NOPE'",
+    ),
+    "unknown x": ("NOPE", "V1", [(("V2",), []), ((), [2])], "unknown variable 'NOPE'"),
+    "x is y": ("V1", "V1", [(("V2",), []), (("V2",), [2])], "must be disjoint"),
+    "x in a later z": ("V0", "V1", [(("V2",), [0, 2]), (("V3", "V0"), [1])], "must be disjoint"),
+    "a repeated name": ("V0", "V1", [((), [0]), (("V3", "V3"), [1])], "must be disjoint"),
+    "index past the end in a later candidate": (
+        "V0", "V1", [(("V2",), [0, 1]), (("V3",), [2, 3, 0])], "outside 0..2",
+    ),
+    "negative index in a later candidate": (
+        "V0", "V1", [(("V2",), [0]), (("V3",), [1, -1])], "outside 0..2",
+    ),
+    "bad index before an unknown name": (
+        "V0", "V1", [(("V2",), [0]), (("NOPE",), [5, 0])], "outside 0..2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DATA_SEARCHES))
+def test_a_data_search_error_comes_at_the_same_query(name):
+    x, y, candidates, message = BAD_DATA_SEARCHES[name]
+    bundle = _chain_bundle()
+    reference, bulk = LoopedData(bundle), DataBackend(bundle)
+    first = [(("V2", "V3"), [0, 1, 2]), (("V4",), [2, 0])]
+    assert _same_data_search(reference, bulk, "V0", "V1", first) is None
+    assert bulk.ledger.counts == [2, 1, 2]
+    answer = _same_data_search(reference, bulk, x, y, candidates)
+    assert answer[0] is ValueError and message in answer[1]
+    # the memo is left alike too: a repeat is answered with the same hits
+    assert _same_data_search(reference, bulk, "V0", "V1", candidates[:1] + first) is None
+    assert sum(bulk.ledger.hits) >= 5
+
+
+def test_a_bad_query_past_the_separation_is_never_raised():
+    bundle = _chain_bundle()
+    reference, bulk = LoopedData(bundle), DataBackend(bundle)
+    candidates = [((), [0]), (("V2",), [0]), (("V3", "NOPE"), [0]), (("V3",), [7])]
+    assert _same_data_search(reference, bulk, "V4", "V1", candidates) == (("V2",), 0)
+    assert bulk.ledger.counts == [2, 0, 0]
+    # the walked queries were kept, and only those: a repeat is all hits
+    assert _same_data_search(reference, bulk, "V4", "V1", candidates[:2]) == (("V2",), 0)
+    assert bulk.ledger.hits == [2, 0, 0]
+
+
+def test_random_data_searches_match_the_query_by_query_loop():
+    outcomes = set()
+    for ss in np.random.SeedSequence(71).spawn(12):
+        rng = np.random.default_rng(ss)
+        dag = random_dag(int(rng.integers(3, 9)), 0.35, rng)
+        names = list(dag.variables)
+        family = InterventionFamily(
+            {v for v in names if rng.random() < 0.25} for _ in range(int(rng.integers(1, 4)))
+        )
+        bn = random_cpts(dag, int(rng.integers(2, 4)), seed=rng)
+        sizes = [int(rng.choice([30, 200, 1000])) for _ in range(len(family))]
+        bundle = _unequal_bundle(bn, family, sizes, int(rng.integers(2**32)))
+        reference, bulk = LoopedData(bundle, 0.05), DataBackend(bundle, 0.05)
+        # one backend pair for many searches, so the memo carries over
+        for _ in range(6):
+            y = str(rng.choice(names))
+            for _ in range(10):
+                search = _random_search(rng, names, y, len(family))
+                answer = _same_data_search(reference, bulk, *search)
+                outcomes.add(
+                    "none" if answer is None else "error" if answer[0] is ValueError else "found"
+                )
+        assert sum(bulk.ledger.hits) > 0
+    assert outcomes == {"none", "error", "found"}
+
+
+def test_mimb_and_the_baseline_on_data_match_the_query_by_query_loop(alarm):
+    family = generate_intervention_family(
+        alarm.dag, "VTUB", 4, "zeta_zero", max_targets_per_set=3, seed=5
+    )
+    bundle = _unequal_bundle(alarm, family, [2000, 1200, 600, 2500], 6)
+    for algorithm in (mimb, baseline):
+        reference, bulk = LoopedData(bundle), DataBackend(bundle)
+        assert algorithm(bulk, "VTUB") == algorithm(reference, "VTUB")
+        _same_ledgers(reference, bulk)
+        assert _bits(bulk) == _bits(reference)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,23 @@ class TestTable:
         path.write_text("a,b\n1,2\n\n3\n")
         with pytest.raises(ValueError, match="row 1 has 1 cells, expected 2"):
             read_table(path)
+
+    def test_reading_holds_little_more_than_the_codes(self, tmp_path):
+        # 5000 rows of 37 cells: the codes take 1.5 MB, and the rows held
+        # as lists of strings before encoding used to peak near 13 MB
+        rng = np.random.default_rng(5)
+        cells = np.array(["LOW", "NORMAL", "HIGH", "ZERO"])[rng.integers(0, 4, (5000, 37))]
+        path = tmp_path / "t.csv"
+        header = ",".join(f"V{j}" for j in range(37))
+        path.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+        tracemalloc.start()
+        try:
+            table = read_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.codes.shape == (5000, 37) and sorted(table.labels) == sorted(set(cells.flat))
+        assert peak < 4 * 2**20
 
     def test_undecodable_csv_names_its_file(self, tmp_path):
         path = tmp_path / "t.csv"
