@@ -9,7 +9,9 @@ itself a reported metric; a direct ``g2_test`` call is not counted.
 ``contingency_counts`` and ``g2_statistic`` compute the same statistic the
 plain way and serve as its reference. ``DataBackend``'s separator searches
 count several tests at once in a batched kernel whose answers are those of
-the single-test one, bit for bit.
+the single-test one, bit for bit. ``OracleBackend`` answers the queries of
+a :class:`SeparatorSearch` in batches of lanes, one Bayes-ball sweep per
+batch.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .bayesnet import Dataset, DatasetBundle
 from .graph import Dag, InterventionFamily
+from .util import iter_bits, iter_subsets
 
 # A G-squared test is reliable only with at least this many rows per cell of
 # its full contingency table (and a positive dof).
@@ -33,6 +36,12 @@ MIN_ROWS_PER_CELL = 5
 # as many as the one before, up to _MAX_BATCH (see _read_ahead).
 _FIRST_BATCH = 8
 _MAX_BATCH = 64
+
+# OracleBackend sweeps the misses of a separator search in batches of up to
+# this many lanes, read ahead from up to this many subsets (see
+# OracleBackend._sweep_ahead); a lane table holds one int of this many bits
+# per node. A memo entry keeps its lane in 8 bits, so at most 256.
+_LANES = 256
 
 
 @dataclass(frozen=True)
@@ -348,6 +357,81 @@ class CiBackend(Protocol):
     def test(self, x: str, y: str, z: Iterable[str], dataset_index: int) -> CiResult: ...
 
 
+class SeparatorSearch:
+    """A separator search of MIPC or HITON as a value.
+
+    The search asks about every subset of ``pool`` (distinct names) with 1
+    to ``max_size`` members, smallest first, positions lexicographic (the
+    order of :func:`~mimb.util.iter_subsets`); with ``containing`` set,
+    only the subsets that hold it, which must be the pool's last member.
+    Each subset is asked in the datasets of ``x_mask`` ANDed with the masks
+    of its members, ``masks`` holding one per pool member (bit k is dataset
+    k): those whose candidate blanket holds x and every member.
+
+    Iterated, the search yields ``(names, datasets)`` pairs in that order,
+    ``datasets`` ascending, as :func:`first_separation` reads any
+    candidates. :meth:`masked_subsets` gives the same subsets in index
+    space, for a backend that need not look up names per subset.
+    """
+
+    __slots__ = ("pool", "max_size", "containing", "x_mask", "masks")
+
+    def __init__(
+        self,
+        pool: Sequence[str],
+        max_size: int,
+        x_mask: int,
+        masks: Iterable[int],
+        containing: str | None = None,
+    ):
+        self.pool = tuple(pool)
+        self.max_size = max_size
+        self.containing = containing
+        self.x_mask = x_mask
+        self.masks = tuple(masks)
+        if len(self.masks) != len(self.pool):
+            raise ValueError("a search needs one holding mask per pool member")
+        if len(set(self.pool)) != len(self.pool):
+            raise ValueError("the members of a pool must be distinct")
+        if min(self.masks, default=x_mask) < 0 or x_mask < 0:
+            raise ValueError("holding masks must be nonnegative")
+        if containing is not None:
+            # iter_subsets checks where the member stands before it yields
+            next(iter_subsets(self.pool, 0, containing), None)
+
+    def masked_subsets(self, bits: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """Each subset in search order as ``(positions, zmask, dataset
+        mask)``: the pool positions of its members, the OR of ``bits`` (one
+        per pool member) over them, and the dataset mask as the class
+        describes it."""
+        masks, x_mask = self.masks, self.x_mask
+        m = len(masks)
+        last = None if self.containing is None else m - 1
+        for subset in iter_subsets(range(m), self.max_size, last):
+            z, d = 0, x_mask
+            for i in subset:
+                z |= bits[i]
+                d &= masks[i]
+            yield subset, z, d
+
+    def names(self, subset: tuple[int, ...]) -> tuple[str, ...]:
+        """The member names of a subset given by its pool positions."""
+        return tuple(map(self.pool.__getitem__, subset))
+
+    def __iter__(self) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
+        mask_of = dict(zip(self.pool, self.masks))
+        x_mask = self.x_mask
+        indices: dict[int, tuple[int, ...]] = {}
+        for subset in iter_subsets(self.pool, self.max_size, self.containing):
+            d = x_mask
+            for u in subset:
+                d &= mask_of[u]
+            datasets = indices.get(d)
+            if datasets is None:
+                datasets = indices[d] = tuple(iter_bits(d))
+            yield subset, datasets
+
+
 def first_separation(
     backend: CiBackend,
     x: str,
@@ -358,13 +442,15 @@ def first_separation(
     independent given z, or None when no test does.
 
     ``candidates`` yields ``(z, datasets)`` in search order, lazily if the
-    caller likes. The test of x and y given z is asked in each of the
-    datasets in turn. A backend whose class has a
-    ``first_separation(x, y, candidates)`` method answers the whole search
-    in one call; it must ask exactly the queries of the loop below, in the
-    same order, with the same ledger counts, memo and errors. It may read
-    candidates past the separation to compute them ahead, as
-    :class:`DataBackend` does, but never to count, memoise or raise. Any
+    caller likes; the discovery algorithms pass a :class:`SeparatorSearch`,
+    which a bulk method may also read in index space. The test of x and y
+    given z is asked in each of the datasets in turn. A backend whose class
+    has a ``first_separation(x, y, candidates)`` method answers the whole
+    search in one call; it must ask exactly the queries of the loop below,
+    in the same order, with the same ledger counts, memo and errors. It may
+    read candidates past the separation to compute them ahead, as
+    :class:`DataBackend` and :class:`OracleBackend` do, but never to count,
+    memoise or raise. Any
     other backend is asked query by query through ``test``, and that loop,
     which reads no candidate past the separation, is the definition the
     bulk methods are checked against. So is a backend whose class overrides
@@ -563,10 +649,15 @@ class OracleBackend:
     One Bayes-ball sweep from y answers every x for the same (y, z,
     dataset), and the discovery algorithms ask about one target y at a
     time while x varies. So the sweeps for the current y are memoised, one
-    row per z holding the reached mask of each dataset, and the memo is
-    dropped when a query names another y. Every query is validated first
-    and counted like :class:`DataBackend`'s: ``ledger.hits`` counts those
-    answered from the memo, and a query that raises is not counted.
+    row per z holding what each dataset's sweep reached, and the memo is
+    dropped when a query names another y. An entry is either the node mask
+    of one sweep (:meth:`Dag._connected_mask`), a positive int, or a lane of
+    a lane sweep (:meth:`Dag._lane_sweep`): ``~(t << 8 | lane)``, lane
+    ``lane`` of ``_tables[t]``, which holds per node the lanes that reached
+    it. The tables are dropped with the memo; 0 marks a dataset not swept
+    yet. Every query is validated first and counted like
+    :class:`DataBackend`'s: ``ledger.hits`` counts those answered from the
+    memo, and a query that raises is not counted.
     """
 
     def __init__(self, dag: Dag, family: InterventionFamily):
@@ -577,9 +668,14 @@ class OracleBackend:
         self.variables = dag.variables
         self.ledger = TestLedger(len(self.post_dags))
         self._memo_y = -1
-        # zmask -> the reached mask per dataset; a sweep always reaches y,
-        # so 0 marks a dataset not swept yet
         self._memo: dict[int, list[int]] = {}
+        self._tables: list[list[int]] = []
+        # each manipulated node with the experiments that manipulate it
+        manipulated: dict[int, list[int]] = {}
+        for k, targets in enumerate(family.sets):
+            for t in targets:
+                manipulated.setdefault(dag.index(t), []).append(k)
+        self._cuts = tuple(manipulated.items())
 
     @property
     def n_datasets(self) -> int:
@@ -595,16 +691,23 @@ class OracleBackend:
         y: str,
         candidates: Iterable[tuple[tuple[str, ...], Iterable[int]]],
     ) -> tuple[tuple[str, ...], int] | None:
-        """:func:`first_separation` in one loop; :meth:`test` is a search
+        """:func:`first_separation` in one call; :meth:`test` is a search
         of one query.
 
-        Each z is validated and its memo row looked up once, before its
-        first dataset is asked, and each dataset index is checked in turn,
-        so an error comes at the query the query-by-query loop would raise
-        it at, and a query that raises leaves the memo and the ledger as
-        they were.
+        A :class:`SeparatorSearch` whose names and holding masks are all
+        valid is walked in index space and its misses are swept in batches
+        of lanes (see :meth:`_walk`). Any other search, or one that would
+        raise at some query, is walked query by query: each z is validated
+        and its memo row looked up once, before its first dataset is asked,
+        and each dataset index is checked in turn, so an error comes at the
+        query the query-by-query loop would raise it at, and a query that
+        raises leaves the memo and the ledger as they were.
         """
-        post_dags, memo = self.post_dags, self._memo
+        if isinstance(candidates, SeparatorSearch):
+            resolved = self._resolve(x, y, candidates)
+            if resolved is not None:
+                return self._walk(*resolved, candidates)
+        post_dags = self.post_dags
         counts, hits = self.ledger.counts, self.ledger.hits
         n = len(post_dags)
         for z, datasets in candidates:
@@ -614,9 +717,7 @@ class OracleBackend:
                     _dataset(post_dags, k)  # raises
                 if row is None:
                     xi, yi, zmask = self.dag._query(x, y, z)
-                    if yi != self._memo_y:
-                        memo.clear()
-                        self._memo_y = yi
+                    memo = self._memo_of(yi)
                     row = memo.get(zmask)
                     if row is None:
                         row = memo[zmask] = [0] * n
@@ -626,6 +727,150 @@ class OracleBackend:
                 else:
                     reached = row[k] = post_dags[k]._connected_mask(yi, zmask)
                 counts[k] += 1
-                if not reached >> xi & 1:
+                if reached > 0:
+                    connected = reached >> xi & 1
+                else:
+                    lane = ~reached
+                    connected = self._tables[lane >> 8][xi] >> (lane & 255) & 1
+                if not connected:
                     return z, k
         return None
+
+    def _memo_of(self, yi: int) -> dict[int, list[int]]:
+        """The memo, emptied first if it holds the sweeps of another y."""
+        if yi != self._memo_y:
+            self._memo.clear()
+            self._tables.clear()
+            self._memo_y = yi
+        return self._memo
+
+    def _resolve(self, x: str, y: str, search: SeparatorSearch):
+        """x's and y's indices and each pool member's node bit, or None
+        when some query of the search would raise: an unknown name, x equal
+        to y, x or y in the pool, or a dataset index outside the family."""
+        index = self.dag._index
+        xi, yi = index.get(x), index.get(y)
+        bits = [1 << i if (i := index.get(v)) is not None else 0 for v in search.pool]
+        if xi is None or yi is None or xi == yi or not all(bits):
+            return None
+        if search.x_mask >> len(self.post_dags) or any(b >> xi & 1 or b >> yi & 1 for b in bits):
+            return None
+        return xi, yi, bits
+
+    def _walk(self, xi: int, yi: int, bits: list[int], search: SeparatorSearch):
+        """The query loop of :meth:`first_separation` over a valid search,
+        in index space: each subset comes as its zmask and dataset mask,
+        and the names are looked up only for the subset that separates.
+
+        A memo miss is swept together with the next misses of the search,
+        read ahead, as the lanes of one :meth:`Dag._lane_sweep` (see
+        :meth:`_sweep_ahead`). Only walked queries are counted and
+        memoised, and lanes read past the separation are dropped, so the
+        answer, the ledger and the memo are those of the query loop.
+        """
+        n = len(self.post_dags)
+        counts, hits = self.ledger.counts, self.ledger.hits
+        subsets = search.masked_subsets(bits)
+        ahead: deque = deque()  # subsets read ahead, not walked yet
+        computed: dict = {}  # zmask * n + k -> the entry swept ahead
+        indices: dict[int, tuple[int, ...]] = {}  # dataset mask -> its bits
+        memo = None  # taken at the search's first query
+        while True:
+            item = ahead.popleft() if ahead else next(subsets, None)
+            if item is None:
+                return None
+            subset, zmask, dmask = item
+            if not dmask:
+                continue
+            if memo is None:
+                memo, tables = self._memo_of(yi), self._tables
+            row = memo.get(zmask)
+            if row is None:
+                row = memo[zmask] = [0] * n
+            datasets = indices.get(dmask)
+            if datasets is None:
+                datasets = indices[dmask] = tuple(iter_bits(dmask))
+            for k in datasets:
+                reached = row[k]
+                if reached:
+                    hits[k] += 1
+                else:
+                    reached = computed.pop(zmask * n + k, None)
+                    if reached is None:
+                        first = (zmask, dmask >> k << k, row)
+                        reached = self._sweep_ahead(yi, first, subsets, ahead, computed, indices)
+                    row[k] = reached
+                counts[k] += 1
+                if reached > 0:
+                    connected = reached >> xi & 1
+                else:
+                    lane = ~reached
+                    connected = tables[lane >> 8][xi] >> (lane & 255) & 1
+                if not connected:
+                    return search.names(subset), k
+
+    def _sweep_ahead(self, yi, first, subsets, ahead, computed, indices):
+        """The memo entry of a miss, swept as lane 0 of one lane sweep with
+        the next misses of the search: up to :data:`_LANES` lanes, from up
+        to :data:`_LANES` subsets read ahead, so neither the batch nor what
+        is read ahead grows with the search. A batch of one is one
+        :meth:`Dag._connected_mask` sweep.
+
+        ``first`` is ``(zmask, dataset mask, memo row)`` of the miss's
+        subset, its mask holding the miss's dataset and those after it.
+        Subsets read from ``subsets`` are appended to ``ahead``. A miss is
+        a query whose dataset is neither memoised nor in ``computed``; a
+        repeat is left out. The entries of the other lanes go into
+        ``computed``.
+        """
+        memo, n = self._memo, len(self.post_dags)
+        in_dataset = [0] * n  # per dataset, its lanes
+        with_z = []  # (zmask, its lanes)
+        keys = []  # per lane, its key in computed
+        zmask, dmask, row = first
+        while True:
+            datasets = indices.get(dmask)
+            if datasets is None:
+                datasets = indices[dmask] = tuple(iter_bits(dmask))
+            group = 0
+            for k in datasets:
+                key = zmask * n + k
+                if (row is None or not row[k]) and key not in computed:
+                    bit = 1 << len(keys)
+                    computed[key] = len(keys)  # the lane, until swept
+                    keys.append(key)
+                    in_dataset[k] |= bit
+                    group |= bit
+                    if len(keys) == _LANES:
+                        break
+            if group:
+                with_z.append((zmask, group))
+            if len(keys) == _LANES or len(ahead) == _LANES:
+                break
+            item = next(subsets, None)
+            if item is None:
+                break
+            ahead.append(item)
+            _, zmask, dmask = item
+            row = memo.get(zmask)
+
+        if len(keys) == 1:
+            del computed[keys[0]]
+            zmask, dmask, _ = first
+            k = (dmask & -dmask).bit_length() - 1
+            return self.post_dags[k]._connected_mask(yi, zmask)
+        every = (1 << len(keys)) - 1
+        n_nodes = len(self.variables)
+        z_lanes = [0] * n_nodes
+        for zmask, group in with_z:
+            for v in iter_bits(zmask):
+                z_lanes[v] |= group
+        gates = [every] * n_nodes
+        for v, datasets in self._cuts:
+            for k in datasets:
+                gates[v] &= ~in_dataset[k]
+        base = len(self._tables) << 8
+        self._tables.append(self.dag._lane_sweep(yi, z_lanes, gates, every))
+        for key in keys:
+            computed[key] = ~(base | computed[key])
+        return computed.pop(keys[0])

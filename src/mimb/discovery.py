@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .citest import CiBackend, first_separation
+from .citest import CiBackend, SeparatorSearch, first_separation
 from .graph import Dag, InterventionFamily
-from .util import iter_bits, iter_subsets, union_and_intersection
+from .util import union_and_intersection
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,9 @@ def mipc(
     v. Search order is deterministic: subset sizes ascending, subsets
     lexicographic by member position, datasets in bundle order; the first
     separation wins. Each search is one :func:`~mimb.citest.first_separation`
-    call. A removed variable never re-enters ipc, so ``sepsets`` holds
-    exactly the variables outside ``cpc``.
+    call on a :class:`~mimb.citest.SeparatorSearch`. A removed variable
+    never re-enters ipc, so ``sepsets`` holds exactly the variables outside
+    ``cpc``.
     """
     n = backend.n_datasets
     start = backend.ledger.snapshot()
@@ -84,21 +85,10 @@ def mipc(
         else:
             sepsets[v] = frozenset()
 
-    # a set of datasets as a bitmask -> its indices
-    indices: dict[int, tuple[int, ...]] = {}
-
     def remove_if_separated(v: str, pool: list[str], must_contain: str | None) -> bool:
-        def candidates():
-            for subset in iter_subsets(pool, max_cond_size, containing=must_contain):
-                mask = holding[v]
-                for u in subset:
-                    mask &= holding[u]
-                datasets = indices.get(mask)
-                if datasets is None:
-                    datasets = indices[mask] = tuple(iter_bits(mask))
-                yield subset, datasets
-
-        found = first_separation(backend, v, target, candidates())
+        masks = [holding[u] for u in pool]
+        search = SeparatorSearch(pool, max_cond_size, holding[v], masks, must_contain)
+        found = first_separation(backend, v, target, search)
         if found is not None:
             del holding[v]
             sepsets[v] = frozenset(found[0])

@@ -23,7 +23,9 @@ class Dag:
     order exists.
     """
 
-    __slots__ = ("variables", "edges", "_index", "_pa", "_ch", "_topo", "_hash", "_tables")
+    __slots__ = (
+        "variables", "edges", "_index", "_pa", "_ch", "_topo", "_hash", "_tables", "_lists",
+    )
 
     def __init__(self, variables: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -50,6 +52,7 @@ class Dag:
         self._topo = self._toposort()
         self._hash: int | None = None
         self._tables: tuple[tuple[list[int], list[int]], ...] | None = None
+        self._lists: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
 
     def _resolve(self, name: str) -> int:
         try:
@@ -231,6 +234,66 @@ class Dag:
             up &= ~up_seen
             down &= ~down_seen
         return up_seen | down_seen
+
+    def _adjacency_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The parents and the children of each node as index tuples.
+
+        Built on a graph's first lane sweep and kept, like the sweep
+        tables; ``==`` and ``hash`` ignore them.
+        """
+        self._lists = (
+            tuple(tuple(iter_bits(m)) for m in self._pa),
+            tuple(tuple(iter_bits(m)) for m in self._ch),
+        )
+        return self._lists
+
+    def _lane_sweep(self, yi: int, z_lanes: list[int], gates: list[int], lanes: int) -> list[int]:
+        """Bayes-ball from yi in many lanes at once, each lane its own
+        conditioning set and its own experiment; per node, the lanes whose
+        ball reaches it.
+
+        Lane j of ``z_lanes[v]`` is set iff lane j conditions on node v;
+        lane j of ``gates[v]`` is set iff the edges into v are kept in lane
+        j's experiment, so a lane sweeps the graph after its experiment's
+        surgery. ``lanes`` has every lane's bit. Per lane, the node mask of
+        the result is :meth:`_connected_mask` of that lane's
+        post-intervention graph, yi and conditioning set: the same moves as
+        there, with each node's two states (entered from a child, from a
+        parent) held as lane masks and advanced along the adjacency lists
+        from a worklist of nodes with new balls.
+        """
+        parents, children = self._lists or self._adjacency_lists()
+        n = len(parents)
+        up = [0] * n  # lanes whose ball entered the node from a child
+        down = [0] * n  # ... from a parent
+        new_up = [0] * n  # of those, the ones not moved on yet
+        new_down = [0] * n
+        up[yi] = new_up[yi] = lanes
+        work = deque([yi])
+        while work:
+            v = work.popleft()
+            u, d, z = new_up[v], new_down[v], z_lanes[v]
+            new_up[v] = new_down[v] = 0
+            # the moves of _connected_mask; a cut node has no parents
+            to_parents = (u & ~z | d & z) & gates[v]
+            to_children = (u | d) & ~z
+            if to_parents:
+                for p in parents[v]:
+                    fresh = to_parents & ~up[p]
+                    if fresh:
+                        up[p] |= fresh
+                        if not (new_up[p] or new_down[p]):
+                            work.append(p)
+                        new_up[p] |= fresh
+            if to_children:
+                for c in children[v]:
+                    fresh = to_children & gates[c] & ~down[c]
+                    if fresh:
+                        down[c] |= fresh
+                        if not (new_up[c] or new_down[c]):
+                            work.append(c)
+                        new_down[c] |= fresh
+        return [a | b for a, b in zip(up, down)]
 
 
 class InterventionFamily:

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .citest import CiBackend, first_separation
-from .util import iter_subsets, union_and_intersection
+from .citest import CiBackend, SeparatorSearch, first_separation
+from .util import union_and_intersection
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,10 @@ def hiton_pc(
     re-searches all subsets each time, which is the documented cost profile
     of this family of algorithms; on a fixed dataset re-tests are replays,
     so only the test count grows. Each member's search is one
-    :func:`~mimb.citest.first_separation` call. Variables never admitted
-    keep the set that first separated them (the empty set for marginal
-    independence).
+    :func:`~mimb.citest.first_separation` call on a
+    :class:`~mimb.citest.SeparatorSearch` of the one dataset. Variables
+    never admitted keep the set that first separated them (the empty set
+    for marginal independence).
     """
     ranked: list[tuple[float, int, str]] = []
     sepsets: dict[str, frozenset[str]] = {}
@@ -72,7 +73,8 @@ def hiton_pc(
             if u not in pc:
                 continue
             pool = [w for w in pc if w != u]
-            search = ((s, (dataset_index,)) for s in iter_subsets(pool, max_cond_size))
+            only = 1 << dataset_index  # the one dataset as a holding mask
+            search = SeparatorSearch(pool, max_cond_size, only, [only] * len(pool))
             found = first_separation(backend, u, target, search)
             if found is not None:
                 pc.remove(u)

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import itertools
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T", bound=Hashable)
 
 
 def iter_subsets(
-    pool: Sequence[str],
+    pool: Sequence[T],
     max_size: int,
-    containing: str | None = None,
-) -> Iterator[tuple[str, ...]]:
+    containing: T | None = None,
+) -> Iterator[tuple[T, ...]]:
     """Non-empty subsets of pool, smallest first, positions lexicographic.
 
     With ``containing`` set, only subsets that include that member are

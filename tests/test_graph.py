@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mimb import (
     Dag,
@@ -252,8 +252,72 @@ class TestSweepAcrossChunks:
         assert len(tables) == 5  # 37 nodes
         dag.d_separated("HR", "BP", ("CO",))
         assert dag._tables is tables
+        # the lane sweep's adjacency lists, likewise
+        n = len(dag.variables)
+        assert dag._lists is None
+        dag._lane_sweep(dag.index("HR"), [0] * n, [0b11] * n, 0b11)
+        lists = dag._lists
+        assert lists == (
+            tuple(tuple(sorted(map(dag.index, dag.parents(v)))) for v in dag.variables),
+            tuple(tuple(sorted(map(dag.index, dag.children(v)))) for v in dag.variables),
+        )
+        dag._lane_sweep(dag.index("CO"), [0] * n, [1] * n, 1)
+        assert dag._lists is lists
         # value semantics ignore them
         assert dag == alarm.dag and hash(dag) == hash(alarm.dag)
+        assert dag == Dag(alarm.dag.variables, alarm.dag.edges)
+        assert hash(dag) == hash(Dag(alarm.dag.variables, alarm.dag.edges))
+
+
+@st.composite
+def _lane_batches(draw):
+    """A random DAG of 1-70 nodes, a random family of experiments over it
+    and 1-300 lanes, each a conditioning set (never holding y) and an
+    experiment, in random order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_nodes = draw(st.integers(1, 70))
+    dag = random_dag(n_nodes, draw(st.sampled_from([0.03, 0.08, 0.2, 0.4])), rng)
+    names = dag.variables
+    n_sets = draw(st.integers(1, 6))
+    family = InterventionFamily(
+        {v for v in names if rng.random() < 0.15} for _ in range(n_sets)
+    )
+    yi = int(rng.integers(n_nodes))
+    lanes = []
+    for _ in range(draw(st.integers(1, 300))):
+        size = int(rng.integers(0, min(5, n_nodes - 1) + 1))
+        z = rng.choice([v for v in range(n_nodes) if v != yi], size, replace=False)
+        lanes.append((sum(1 << int(v) for v in z), int(rng.integers(n_sets))))
+    return dag, family, yi, lanes
+
+
+class TestLaneSweep:
+    """``Dag._lane_sweep`` carries many (z, experiment) queries as bit
+    lanes over the intact graph; each lane must reach what the single
+    sweep reaches on that lane's post-intervention graph."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_lane_batches())
+    def test_each_lane_is_its_experiments_single_sweep(self, batch):
+        dag, family, yi, lanes = batch
+        n_nodes = len(dag.variables)
+        every = (1 << len(lanes)) - 1
+        z_lanes = [0] * n_nodes
+        gates = [every] * n_nodes
+        for j, (zmask, k) in enumerate(lanes):
+            for v in range(n_nodes):
+                if zmask >> v & 1:
+                    z_lanes[v] |= 1 << j
+                if dag.variables[v] in family[k]:
+                    gates[v] &= ~(1 << j)
+        table = dag._lane_sweep(yi, z_lanes, gates, every)
+        assert len(table) == n_nodes
+        assert table[yi] == every
+        assert all(0 <= lanes_of <= every for lanes_of in table)
+        post_dags = [dag.apply_intervention(s) for s in family]
+        for j, (zmask, k) in enumerate(lanes):
+            reached = sum(1 << v for v in range(n_nodes) if table[v] >> j & 1)
+            assert reached == post_dags[k]._connected_mask(yi, zmask)
 
 
 class TestEdgeCharacterisation:

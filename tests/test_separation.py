@@ -31,8 +31,10 @@ from mimb import (
     random_dag,
     trace_example,
 )
+from mimb import citest
 from mimb.bayesnet import Dataset, DatasetBundle
-from mimb.citest import first_separation
+from mimb.citest import SeparatorSearch, first_separation
+from mimb.util import iter_subsets
 
 SEPARATED = CiResult(statistic=0.0, dof=0, p_value=1.0, independent=True, reliable=True)
 CONNECTED = CiResult(statistic=float("inf"), dof=0, p_value=0.0, independent=False, reliable=True)
@@ -474,3 +476,269 @@ def test_mimb_and_the_baseline_on_data_match_the_query_by_query_loop(alarm):
         assert algorithm(bulk, "VTUB") == algorithm(reference, "VTUB")
         _same_ledgers(reference, bulk)
         assert _bits(bulk) == _bits(reference)
+
+
+# -- the search value ------------------------------------------------------------
+
+
+def _generator_search(pool, max_size, containing, x_mask, holding):
+    """The separator search as MIPC wrote it before the search value: the
+    subsets of ``iter_subsets``, each with the datasets of x's holding mask
+    ANDed with its members' (``holding`` maps each name to its mask)."""
+    for subset in iter_subsets(pool, max_size, containing=containing):
+        mask = x_mask
+        for u in subset:
+            mask &= holding[u]
+        yield subset, tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def test_the_search_value_iterates_the_generators_pairs():
+    names = [f"V{i}" for i in range(9)]
+    shapes = set()
+    for ss in np.random.SeedSequence(73).spawn(300):
+        rng = np.random.default_rng(ss)
+        pool = [str(v) for v in rng.permutation(names)[: int(rng.integers(0, 8))]]
+        max_size = int(rng.integers(0, 5))
+        containing = pool[-1] if pool and rng.random() < 0.5 else None
+        n_datasets = int(rng.integers(1, 6))
+        draw = lambda: 0 if rng.random() < 0.1 else int(rng.integers(2**n_datasets))
+        x_mask = draw()
+        holding = {v: draw() for v in pool}
+        search = SeparatorSearch(pool, max_size, x_mask, [holding[v] for v in pool], containing)
+        expected = list(_generator_search(pool, max_size, containing, x_mask, holding))
+        assert list(search) == expected
+        # the index-space view of the same subsets
+        bits = [1 << names.index(v) for v in pool]
+        masked = list(search.masked_subsets(bits))
+        assert [search.names(subset) for subset, _, _ in masked] == [z for z, _ in expected]
+        for (_, zmask, dmask), (z, datasets) in zip(masked, expected):
+            assert zmask == sum(1 << names.index(v) for v in z)
+            assert dmask == sum(1 << k for k in datasets)
+        shapes.add("empty" if not expected else "no datasets" if x_mask == 0 else "some")
+    assert shapes == {"empty", "no datasets", "some"}
+
+
+def test_a_search_value_checks_its_pool_and_masks():
+    for pool, containing in [(["A", "B"], "A"), ([], "A"), (["A"], "B")]:
+        with pytest.raises(ValueError, match="last member"):
+            list(iter_subsets(pool, 3, containing))
+        with pytest.raises(ValueError, match="last member"):
+            SeparatorSearch(pool, 3, 1, [1] * len(pool), containing)
+    with pytest.raises(ValueError, match="distinct"):
+        SeparatorSearch(["A", "B", "A"], 3, 1, [1, 1, 1], "A")
+    with pytest.raises(ValueError, match="one holding mask"):
+        SeparatorSearch(["A", "B"], 2, 1, [1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        SeparatorSearch(["A"], 1, -1, [1])
+
+
+def _lane_counts(monkeypatch):
+    """The lane count of every lane sweep from now on, in call order."""
+    calls = []
+    sweep = Dag._lane_sweep
+
+    def counted(dag, yi, z_lanes, gates, lanes):
+        calls.append(lanes.bit_length())
+        return sweep(dag, yi, z_lanes, gates, lanes)
+
+    monkeypatch.setattr(Dag, "_lane_sweep", counted)
+    return calls
+
+
+def _same_search_value(reference, bulk, x, y, search):
+    """The search value asked of both backends directly, so the bulk side
+    walks it in index space."""
+    try:
+        expected = first_separation(reference, x, y, search)
+    except ValueError as exc:
+        expected = (type(exc), str(exc))
+    try:
+        answer = first_separation(bulk, x, y, search)
+    except ValueError as exc:
+        answer = (type(exc), str(exc))
+    assert answer == expected
+    _same_ledgers(reference, bulk)
+    return answer
+
+
+def _fan_instance(n_noise):
+    """x -> M -> y and x -> z, with ``n_noise`` isolated nodes N0, N1, ...
+    and three experiments that manipulate some of them: x and y are
+    separated by any set holding M, and by no other; nothing separates x
+    and z."""
+    noise = [f"N{i}" for i in range(n_noise)]
+    dag = Dag(["x", "M", "y", "z", *noise], [("x", "M"), ("M", "y"), ("x", "z")])
+    family = InterventionFamily([set(), set(noise[:2]), set(noise[1:3])])
+    return dag, family, noise
+
+
+def test_a_separation_at_the_first_lane_of_a_later_batch(monkeypatch):
+    # every noise singleton is asked in all three datasets first, so with
+    # as many noise nodes as a batch has lanes, (M,) in dataset 0 is lane 0
+    # of the fourth batch
+    dag, family, noise = _fan_instance(citest._LANES)
+    search = SeparatorSearch([*noise, "M"], 2, 0b111, [0b111] * (len(noise) + 1))
+    reference, bulk = _pair(dag, family)
+    lanes = _lane_counts(monkeypatch)
+    assert _same_search_value(reference, bulk, "x", "y", search) == (("M",), 0)
+    assert lanes == [citest._LANES] * 4
+    assert bulk.ledger.counts == [citest._LANES + 1, citest._LANES, citest._LANES]
+    # asked again, the walked queries are hits and nothing is swept
+    lanes.clear()
+    assert _same_search_value(reference, bulk, "x", "y", search) == (("M",), 0)
+    assert lanes == [] and sum(bulk.ledger.hits) == 3 * citest._LANES + 1
+    # (M,) in datasets 1 and 2 was swept past the separation and dropped,
+    # so it is a miss when a search gets to it
+    skip_0 = SeparatorSearch([*noise, "M"], 1, 0b110, [0b111] * (len(noise) + 1))
+    assert _same_search_value(reference, bulk, "x", "y", skip_0) == (("M",), 1)
+    assert lanes == [2] and bulk.ledger.hits[1] == 2 * citest._LANES
+
+
+def test_searches_longer_than_one_batch(monkeypatch):
+    dag, family, noise = _fan_instance(40)
+    reference, bulk = _pair(dag, family)
+    lanes = _lane_counts(monkeypatch)
+    # no subset of the noise separates: every pair in the datasets that
+    # hold both members, 780 pairs and 40 singletons in all
+    holding = [(0b111, 0b101, 0b011, 0b110)[i % 4] for i in range(len(noise))]
+    search = SeparatorSearch(noise, 2, 0b111, holding)
+    assert _same_search_value(reference, bulk, "x", "y", search) is None
+    assert len(lanes) > 3 and max(lanes) == citest._LANES
+    # every miss is a lane, but a last batch of one is a single sweep
+    assert bulk.ledger.total - 1 <= sum(lanes) <= bulk.ledger.total
+    # the same search again is all hits, with no sweep
+    lanes.clear()
+    assert _same_search_value(reference, bulk, "x", "y", search) is None
+    assert lanes == [] and bulk.ledger.hits == [c // 2 for c in bulk.ledger.counts]
+    # memoised queries after a miss are left out of its batch: the pairs
+    # of the last 20 noise nodes come last in the search of all 40
+    late = SeparatorSearch(noise[20:], 2, 0b111, holding[20:])
+    assert _same_search_value(reference, bulk, "x", "z", late) is None
+    lanes.clear()
+    before = bulk.ledger.total - sum(bulk.ledger.hits)
+    search = SeparatorSearch(noise, 2, 0b111, holding)
+    assert _same_search_value(reference, bulk, "x", "z", search) is None
+    misses = bulk.ledger.total - sum(bulk.ledger.hits) - before
+    assert misses - 1 <= sum(lanes) <= misses
+    # with M the member every subset holds, (M,) comes first, asked in the
+    # one dataset that holds x and M
+    search = SeparatorSearch([*noise, "M"], 2, 0b110, [*holding, 0b010], "M")
+    assert _same_search_value(reference, bulk, "x", "y", search) == (("M",), 1)
+
+
+BAD_SEARCH_VALUES = {
+    "unknown member after the separation": (
+        "x", "y", (["M", "NOPE"], 2, 0b1, [0b1, 0b1]), (("M",), 0),
+    ),
+    "unknown member": ("x", "y", (["N0", "NOPE", "M"], 1, 0b11, [1, 3, 3]), "unknown variable"),
+    "x in the pool": ("x", "y", (["N0", "x", "M"], 2, 0b11, [3, 3, 3]), "conditioning set"),
+    "x is y": ("y", "y", (["N0"], 2, 0b10, [3]), "must differ"),
+    "unknown x in a search of no query": ("NOPE", "y", (["N0"], 1, 0b1, [0b10]), None),
+    "a dataset past the family": ("x", "y", (["N0", "M"], 2, 0b1001, [0b1000, 1]), "outside 0..2"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_SEARCH_VALUES))
+def test_a_bad_search_value_raises_at_the_same_query(name, monkeypatch):
+    x, y, args, expected = BAD_SEARCH_VALUES[name]
+    reference, bulk = _pair(*_fan_instance(2)[:2])
+    assert _same_search_value(reference, bulk, "x", "y", SeparatorSearch(["M"], 1, 1, [1])) == (
+        ("M",), 0,
+    )
+    lanes = _lane_counts(monkeypatch)
+    answer = _same_search_value(reference, bulk, x, y, SeparatorSearch(*args))
+    if isinstance(expected, str):
+        assert answer[0] is ValueError and expected in answer[1]
+    else:
+        assert answer == expected
+    assert lanes == []
+    # the memo is left alike too
+    assert _same_search_value(reference, bulk, "x", "y", SeparatorSearch(["M"], 1, 7, [7])) == (
+        ("M",), 0,
+    )
+
+
+@pytest.mark.parametrize("lanes", [2, 5, 64])
+def test_mimb_on_search_values_with_small_batches(lanes, monkeypatch):
+    # few lanes per batch, so searches span many batches and separate at
+    # every position of one, the first lane included
+    monkeypatch.setattr(citest, "_LANES", lanes)
+    counts = _lane_counts(monkeypatch)
+    for dag, target, family in _criterion_4_instances(40, seed=79):
+        _check_mimb(dag, target, family, len(dag.variables), False)
+    dag, family = trace_example()
+    _check_mimb(dag, "T", family, 3, True)
+    assert counts and max(counts) == lanes
+
+
+def test_the_baseline_on_the_oracle_matches_the_query_by_query_loop(alarm):
+    instances = [(*trace_example()[:1], "T", trace_example()[1])]
+    instances += list(_criterion_4_instances(30, seed=83))
+    instances += list(_alarm_instances(alarm))[-1:]
+    for dag, target, family in instances:
+        reference, bulk = _pair(dag, family)
+        assert baseline(bulk, target) == baseline(reference, target)
+        _same_ledgers(reference, bulk)
+        assert sum(bulk.ledger.hits) > 0
+
+
+def _random_search_value(rng, names, y, n_datasets):
+    """x and a search value for x and y: a random pool, size cap and
+    containing member, with random holding masks (now and then none), and
+    now and then a member that is unknown or x or y, or a mask bit past
+    the family."""
+    x = y if rng.random() < 0.03 else str(rng.choice([v for v in names if v != y]))
+    others = [v for v in names if v not in (x, y)]
+    pool = [str(v) for v in rng.permutation(others)[: int(rng.integers(0, len(others) + 1))]]
+    if rng.random() < 0.05:
+        pool.insert(int(rng.integers(len(pool) + 1)), str(rng.choice([x, y, "NOPE"])))
+    width = n_datasets + (rng.random() < 0.05)
+    draw = lambda: 0 if rng.random() < 0.1 else int(rng.integers(2**width))
+    containing = pool[-1] if pool and rng.random() < 0.5 and pool[-1] not in pool[:-1] else None
+    masks = [draw() for _ in pool]
+    return x, SeparatorSearch(pool, int(rng.integers(0, 4)), draw(), masks, containing)
+
+
+@pytest.mark.parametrize("lanes", [3, 256])
+def test_random_search_values_match_the_query_by_query_loop(lanes, monkeypatch):
+    monkeypatch.setattr(citest, "_LANES", lanes)
+    outcomes = set()
+    for ss in np.random.SeedSequence(89).spawn(30):
+        rng = np.random.default_rng(ss)
+        dag = random_dag(int(rng.integers(3, 12)), 0.3, rng)
+        names = list(dag.variables)
+        family = InterventionFamily(
+            {v for v in names if rng.random() < 0.25} for _ in range(int(rng.integers(1, 5)))
+        )
+        reference, bulk = _pair(dag, family)
+        # one backend pair for many searches, so the memo carries over
+        # while y stays and is dropped at the first query that names
+        # another y
+        for _ in range(6):
+            y = str(rng.choice(names))
+            for _ in range(10):
+                x, search = _random_search_value(rng, names, y, len(family))
+                answer = _same_search_value(reference, bulk, x, y, search)
+                outcomes.add(
+                    "none" if answer is None else "error" if answer[0] is ValueError else "found"
+                )
+                # a lone query through test, so the memo mixes both forms
+                z = [v for v in search.pool[:1] if v in names and v not in (x, y)]
+                if x != y and x in names:
+                    assert reference.test(x, y, z, 0) == bulk.test(x, y, z, 0)
+                    _same_ledgers(reference, bulk)
+        assert sum(bulk.ledger.hits) > 0
+    assert outcomes == {"none", "error", "found"}
+
+
+def test_a_search_of_no_query_keeps_the_memo():
+    # the memo is dropped at the first query that names another y, not at
+    # a search for another y that asks nothing
+    dag, family, noise = _fan_instance(3)
+    reference, bulk = _pair(dag, family)
+    search = SeparatorSearch(noise, 2, 0b111, [0b111] * 3)
+    nothing = SeparatorSearch(noise, 2, 0b100, [0b011] * 3)
+    assert _same_search_value(reference, bulk, "x", "y", search) is None
+    assert _same_search_value(reference, bulk, "x", "z", nothing) is None
+    assert _same_search_value(reference, bulk, "x", "y", search) is None
+    assert bulk.ledger.hits == [6, 6, 6]

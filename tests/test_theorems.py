@@ -331,11 +331,13 @@ class TestFuzzer:
 
     def test_fuzzed_graphs_build_no_sweep_tables(self, monkeypatch):
         # the fuzzer builds thousands of graphs and sweeps none of them, so
-        # none may pay for the tables of the d-separation sweep
+        # none may pay for the tables of the d-separation sweep or for the
+        # adjacency lists of the lane sweep
         def refuse(dag):
             raise AssertionError("sweep tables built")
 
         monkeypatch.setattr(Dag, "_sweep_tables", refuse)
+        monkeypatch.setattr(Dag, "_adjacency_lists", refuse)
         assert fuzz_theorems(5, seed=3).total_trials == 60
 
     def test_an_instance_outside_its_row_is_an_internal_error(self, monkeypatch):
