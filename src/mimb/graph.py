@@ -20,7 +20,9 @@ class Dag:
 
     Construction validates that every edge endpoint is a declared variable,
     that there are no self-loops or duplicate edges, and that a topological
-    order exists.
+    order exists. The builders whose output is a DAG by construction
+    (``random_dag``, :meth:`apply_intervention`) go through
+    :meth:`_from_masks` and skip those checks.
     """
 
     __slots__ = (
@@ -36,6 +38,7 @@ class Dag:
         # variable i)
         pa = [0] * len(self.variables)
         ch = [0] * len(self.variables)
+        pairs = []
         for a, b in edges:
             ia, ib = self._resolve(a), self._resolve(b)
             if ia == ib:
@@ -44,15 +47,33 @@ class Dag:
                 raise ValueError(f"duplicate edge {a!r} -> {b!r}")
             pa[ib] |= 1 << ia
             ch[ia] |= 1 << ib
+            pairs.append((self.variables[ia], self.variables[ib]))
         self._pa = tuple(pa)
         self._ch = tuple(ch)
-        self.edges: frozenset[tuple[str, str]] = frozenset(
-            (self.variables[a], self.variables[b]) for b, m in enumerate(pa) for a in iter_bits(m)
-        )
-        self._topo = self._toposort()
+        self.edges: frozenset[tuple[str, str]] = frozenset(pairs)
+        self._topo: tuple[int, ...] | None = self._toposort()  # raises on a cycle
         self._hash: int | None = None
         self._tables: tuple[tuple[list[int], list[int]], ...] | None = None
         self._lists: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
+
+    @classmethod
+    def _from_masks(
+        cls,
+        variables: tuple[str, ...],
+        index: dict[str, int],
+        pa: tuple[int, ...],
+        ch: tuple[int, ...],
+        edges: frozenset[tuple[str, str]],
+    ) -> "Dag":
+        """A graph from parent and child masks that are acyclic and agree
+        with each other and with ``edges`` by construction; nothing is
+        checked. ``index`` is shared, never copied. The topological order
+        is computed on the first :meth:`topological_order` call.
+        """
+        dag = object.__new__(cls)
+        dag.variables, dag._index, dag._pa, dag._ch, dag.edges = variables, index, pa, ch, edges
+        dag._topo = dag._hash = dag._tables = dag._lists = None
+        return dag
 
     def _resolve(self, name: str) -> int:
         try:
@@ -102,7 +123,13 @@ class Dag:
         return self._resolve(name)
 
     def _names(self, mask: int) -> frozenset[str]:
-        return frozenset(map(self.variables.__getitem__, iter_bits(mask)))
+        # iter_bits inlined: the fuzzer names about a dozen masks per instance
+        variables, names = self.variables, []
+        while mask:
+            low = mask & -mask
+            names.append(variables[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(names)
 
     def parents(self, v: str) -> frozenset[str]:
         return self._names(self._pa[self._resolve(v)])
@@ -123,6 +150,8 @@ class Dag:
         return self.parents(v) | self.children(v) | self.spouses(v)
 
     def topological_order(self) -> tuple[str, ...]:
+        if self._topo is None:
+            self._topo = self._toposort()
         return tuple(self.variables[i] for i in self._topo)
 
     # -- surgery -----------------------------------------------------------
@@ -131,19 +160,18 @@ class Dag:
         """Post-intervention graph: every edge into a target is removed.
 
         Variables and all other edges are unchanged; self is not modified.
-        The surviving edges are rebuilt in index order so the copy is
-        canonical whatever order the edge set iterates in.
         """
-        tset = {self._resolve(t) for t in targets}
-        kept = sorted(
-            (
-                (a, b)
-                for (a, b) in self.edges
-                if self._index[b] not in tset
-            ),
-            key=lambda e: (self._index[e[0]], self._index[e[1]]),
+        cut = 0
+        for t in targets:
+            cut |= 1 << self._resolve(t)
+        index = self._index
+        return Dag._from_masks(
+            self.variables,
+            index,
+            tuple(0 if cut >> i & 1 else p for i, p in enumerate(self._pa)),
+            tuple(c & ~cut for c in self._ch),
+            frozenset(e for e in self.edges if not cut >> index[e[1]] & 1),
         )
-        return Dag(self.variables, kept)
 
     # -- d-separation ------------------------------------------------------
 

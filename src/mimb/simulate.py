@@ -16,7 +16,8 @@ from .bayesnet import (
     forward_sample,
     randomize_manipulated_cpts,
 )
-from .graph import Dag, InterventionFamily, is_conservative
+from .graph import Dag, InterventionFamily
+from .util import iter_bits, mask_union_and_intersection
 
 REGIMES = ("zeta_zero", "zeta_mid", "zeta_all")
 
@@ -43,12 +44,24 @@ def random_dag(n_nodes: int, edge_prob: float, seed) -> Dag:
         raise ValueError("edge_prob must be in [0, 1]")
     rng = _as_generator(seed)
     names = tuple(f"X{i}" for i in range(n_nodes))
-    ordered = [names[i] for i in rng.permutation(n_nodes).tolist()]
-    # one coin per pair in the order (i, j), i < j, of the ordered names;
-    # a bulk draw yields the same doubles as one scalar draw per pair
+    order = rng.permutation(n_nodes).tolist()
+    # one coin per pair in the order (i, j), i < j, of the ordered nodes;
+    # a bulk draw yields the same doubles as one scalar draw per pair. Each
+    # edge runs forward in the order, so the graph is acyclic.
     hits = (rng.random(n_nodes * (n_nodes - 1) // 2) < edge_prob).tolist()
-    edges = [pair for pair, hit in zip(itertools.combinations(ordered, 2), hits) if hit]
-    return Dag(names, edges)
+    kept = list(itertools.compress(itertools.combinations(order, 2), hits))
+    pa = [0] * n_nodes
+    ch = [0] * n_nodes
+    for a, b in kept:
+        pa[b] |= 1 << a
+        ch[a] |= 1 << b
+    return Dag._from_masks(
+        names,
+        {v: i for i, v in enumerate(names)},
+        tuple(pa),
+        tuple(ch),
+        frozenset([(names[a], names[b]) for a, b in kept]),
+    )
 
 
 def random_cpts(
@@ -105,13 +118,14 @@ def generate_intervention_family(
     regime = _REGIME_ALIASES.get(regime, regime)
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    dag.index(target)
+    ti = dag.index(target)
     if n_datasets < 1:
         raise ConstraintError("n_datasets must be at least 1")
     if regime == "zeta_mid" and n_datasets < 2:
         raise ConstraintError("zeta_mid needs at least two datasets")
-    others = [v for v in dag.variables if v != target]
-    children = dag.children(target)
+    names = dag.variables
+    others = [i for i in range(len(names)) if i != ti]
+    children = dag._ch[ti]
     if require_conservative and n_datasets < 2 and others:
         if regime != "zeta_all":
             raise ConstraintError(
@@ -126,10 +140,13 @@ def generate_intervention_family(
     rng = _as_generator(seed)
     max_t = max_targets_per_set
     if max_t is None:
-        max_t = max(1, math.ceil(len(dag.variables) / 5))
+        max_t = max(1, math.ceil(len(names) / 5))
     if max_t < 1:
         raise ConstraintError("max_targets_per_set must be at least 1")
 
+    # the experiments are drawn and repaired as index masks (bit i is
+    # variable i); the repairs visit variables in name order
+    t_bit = 1 << ti
     if regime == "zeta_zero":
         t_in = [False] * n_datasets
     elif regime == "zeta_all":
@@ -138,29 +155,33 @@ def generate_intervention_family(
         k = int(rng.integers(1, n_datasets))
         chosen = set(rng.choice(n_datasets, size=k, replace=False).tolist())
         t_in = [i in chosen for i in range(n_datasets)]
-    sets: list[set[str]] = []
+    sets: list[int] = []
     for i in range(n_datasets):
         size = min(int(rng.integers(1, max_t + 1)), len(others))
-        picked = rng.choice(len(others), size=size, replace=False) if size else []
-        s = {others[int(j)] for j in picked}
-        if t_in[i]:
-            s.add(target)
+        s = t_bit if t_in[i] else 0
+        if size:
+            for j in rng.choice(len(others), size=size, replace=False).tolist():
+                s |= 1 << others[j]
         sets.append(s)
 
+    by_name = names.__getitem__
     if require_children_covered:
-        for c in sorted(children - InterventionFamily(sets).union_of_targets()):
-            sets[int(rng.integers(n_datasets))].add(c)
+        union, _ = mask_union_and_intersection(sets)
+        for c in sorted(iter_bits(children & ~union), key=by_name):
+            sets[int(rng.integers(n_datasets))] |= 1 << c
     if require_conservative:
-        for v in sorted(InterventionFamily(sets).union_of_targets() - {target}):
-            if all(v in s for s in sets):
-                sets[int(rng.integers(n_datasets))].discard(v)
+        # a repair touches only its own variable's bit, so the variables
+        # manipulated everywhere are known before the first one
+        _, everywhere = mask_union_and_intersection(sets)
+        for v in sorted(iter_bits(everywhere & ~t_bit), key=by_name):
+            sets[int(rng.integers(n_datasets))] &= ~(1 << v)
 
-    family = InterventionFamily(sets)
-    if (require_conservative and not is_conservative(family.without(target))) or (
-        require_children_covered and not children <= family.union_of_targets()
+    union, everywhere = mask_union_and_intersection(sets)
+    if (require_conservative and everywhere & ~t_bit) or (
+        require_children_covered and children & ~union
     ):
         raise ConstraintError("constraints remain unsatisfied after repair")
-    return family
+    return InterventionFamily(dag._names(s) for s in sets)
 
 
 def generate_bundle(

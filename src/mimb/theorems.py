@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Dag, InterventionFamily, is_conservative
+from .graph import Dag, InterventionFamily
 from .simulate import generate_intervention_family, random_dag
-from .util import union_and_intersection
+from .util import iter_bits, mask_union_and_intersection
 
 # Union relations
 UNION_EQUALS_MB = "equals-mb"
@@ -115,77 +115,82 @@ class VerificationReport:
         }
 
 
-class _Neighbourhood:
-    """The target's parents, children and collider partners in the intact
-    graph, read once per instance: every experiment's blanket and every
-    relation :func:`verify` checks come from them.
+def _family_masks(dag: Dag, family: InterventionFamily) -> list[int]:
+    """Each experiment of the family as an index mask of ``dag``; an
+    experiment naming an unknown variable raises ``ValueError``."""
+    index = dag._index
+    masks = []
+    for s in family.sets:
+        m = 0
+        for v in s:
+            i = index.get(v)
+            if i is None:
+                family.validate_names(dag.variables)  # raises, naming them
+            m |= 1 << i
+        masks.append(m)
+    return masks
 
-    ``child_parents`` pairs each child of the target with its parents (the
-    target among them); ``partners`` is the union of those parents and
-    ``multi_spouses`` the ones shared by two or more children, both
-    without the target.
+
+def _blanket_masks(dag: Dag, ti: int, masks: list[int]) -> tuple[int, ...]:
+    """The blanket of target ``ti`` after each experiment's graph surgery,
+    as index masks.
+
+    Surgery on S only deletes the edges into S, so the blanket is read off
+    the intact graph: the target's parents unless the target is in S, its
+    children outside S, and those children's parents, the target excluded.
     """
+    pa, t_bit = dag._pa, 1 << ti
+    kids = [(1 << c, pa[c]) for c in iter_bits(dag._ch[ti])]
+    out = []
+    for s in masks:
+        mb = 0 if s & t_bit else pa[ti]
+        for c_bit, c_pa in kids:
+            if not s & c_bit:
+                mb |= c_bit | c_pa
+        out.append(mb & ~t_bit)
+    return tuple(out)
 
-    __slots__ = ("target", "parents", "children", "child_parents", "partners", "multi_spouses")
 
-    def __init__(self, dag: Dag, target: str):
-        self.target = target
-        self.parents = dag.parents(target)
-        self.children = dag.children(target)
-        self.child_parents = tuple((c, dag.parents(c)) for c in self.children)
-        # one pass over the children: a parent already seen is shared
-        seen: set[str] = set()
-        multi: set[str] = set()
-        for _, pa in self.child_parents:
-            multi |= seen & pa
-            seen |= pa
-        self.partners = frozenset(seen - {target})
-        self.multi_spouses = frozenset(multi - {target})
-
-    def blankets(self, family: InterventionFamily) -> tuple[frozenset[str], ...]:
-        """The target's blanket after each experiment's graph surgery.
-
-        Surgery on S only deletes the edges into S, so the blanket is read
-        off the intact graph: the target's parents unless the target is in
-        S, its children outside S, and those children's parents, the target
-        excluded.
-        """
-        out = []
-        for s in family.sets:
-            mb = set() if self.target in s else set(self.parents)
-            for c, pa in self.child_parents:
-                if c not in s:
-                    mb.add(c)
-                    mb |= pa
-            mb.discard(self.target)
-            out.append(frozenset(mb))
-        return tuple(out)
+def _collider_partners(dag: Dag, ti: int) -> tuple[int, int]:
+    """The parents of the target's children, and those shared by two or
+    more children, both without the target, as index masks."""
+    seen = multi = 0
+    for c in iter_bits(dag._ch[ti]):
+        pa = dag._pa[c]
+        multi |= seen & pa  # a parent already seen is shared
+        seen |= pa
+    not_t = ~(1 << ti)
+    return seen & not_t, multi & not_t
 
 
 def oracle_mbs(dag: Dag, target: str, family: InterventionFamily) -> tuple[frozenset[str], ...]:
     """Exact blanket of the target in each post-intervention graph."""
-    family.validate_names(dag.variables)
-    return _Neighbourhood(dag, target).blankets(family)
+    masks = _family_masks(dag, family)
+    return tuple(map(dag._names, _blanket_masks(dag, dag.index(target), masks)))
 
 
 def classify_regime(dag: Dag, target: str, family: InterventionFamily) -> RegimeClassification:
-    family.validate_names(dag.variables)
-    zeta = family.zeta(target)
-    n = len(family)
+    masks = _family_masks(dag, family)
+    ti = dag.index(target)
+    t_bit = 1 << ti
+    zeta = sum(1 for s in masks if s & t_bit)
+    n = len(masks)
     if zeta == 0:
         zeta_class = "zero"
     elif zeta == n:
         zeta_class = "all"
     else:
         zeta_class = "mid"
-    children = dag.children(target)
+    children = dag._ch[ti]
+    union, everywhere = mask_union_and_intersection(masks)
     return RegimeClassification(
         zeta_t=zeta,
         n=n,
         zeta_class=zeta_class,
-        conservative_minus_t=is_conservative(family.without(target)),
-        children_covered=children <= family.union_of_targets(),
-        children_untouched=all(not (children & s) for s in family.sets),
+        # no variable but the target manipulated in every experiment
+        conservative_minus_t=not everywhere & ~t_bit,
+        children_covered=not children & ~union,
+        children_untouched=not children & union,
     )
 
 
@@ -218,61 +223,69 @@ def verify(dag: Dag, target: str, family: InterventionFamily) -> VerificationRep
       also parents a sibling child, a parent that also parents a child, or
       a spouse shared by two or more children. Whenever no such dual-role
       variable exists nothing is tolerated and the equalities hold exactly.
-    """
-    c = classify_regime(dag, target, family)  # validates the family's names
-    nb = _Neighbourhood(dag, target)
-    mbs = nb.blankets(family)
-    union, inter = union_and_intersection(mbs)
 
-    pa, children, partners = nb.parents, nb.children, nb.partners
+    Every set is an index mask of ``dag`` until the report is built, so
+    ``a & ~b`` is zero iff a is a subset of b.
+    """
+    c = classify_regime(dag, target, family)  # validates the names
+    masks = _family_masks(dag, family)
+    ti = dag._index[target]
+    mbs = _blanket_masks(dag, ti, masks)
+    union, inter = mask_union_and_intersection(mbs)
+
+    pa, children = dag._pa[ti], dag._ch[ti]
+    partners, multi_spouses = _collider_partners(dag, ti)
     ch_sp = children | partners
     mb = pa | ch_sp
-    stuck = children.intersection(*family.sets)  # children manipulated everywhere
-    unrecoverable = stuck - partners  # stuck children with no spouse role
+    stuck = children & mask_union_and_intersection(masks)[1]  # manipulated everywhere
+    unrecoverable = stuck & ~partners  # stuck children with no spouse role
 
     if c.zeta_class != "all":  # the target escapes manipulation somewhere
         if c.conservative_minus_t:
             union_rel, union_ok = UNION_EQUALS_MB, union == mb
         else:
             union_rel = UNION_BETWEEN_PA_AND_MB
-            union_ok = pa <= union <= mb and not (union & unrecoverable)
+            union_ok = not (pa & ~union or union & ~mb or union & unrecoverable)
             if not stuck:
                 union_ok = union_ok and union == mb
     elif c.conservative_minus_t:
         union_rel, union_ok = UNION_EQUALS_CH_SP, union == ch_sp
     else:
         union_rel = UNION_SUBSET_CH_SP
-        union_ok = union <= ch_sp and not (union & unrecoverable)
+        union_ok = not (union & ~ch_sp or union & unrecoverable)
         if children and stuck == children:
             union_ok = union_ok and not union
 
     if c.zeta_class == "zero":
         if c.children_covered:
-            leakage = (children & partners) | nb.multi_spouses
-            inter_rel, inter_ok = INTER_EQUALS_PA, pa <= inter and inter - pa <= leakage
+            leakage = (children & partners) | multi_spouses
+            inter_rel = INTER_EQUALS_PA
+            inter_ok = not (pa & ~inter or inter & ~pa & ~leakage)
         elif c.children_untouched:
             inter_rel, inter_ok = INTER_EQUALS_MB, inter == mb
         else:
-            inter_rel, inter_ok = INTER_BETWEEN_PA_AND_MB, pa <= inter <= mb
+            inter_rel = INTER_BETWEEN_PA_AND_MB
+            inter_ok = not (pa & ~inter or inter & ~mb)
     elif c.children_covered:
-        leakage = (partners & (pa | children)) | nb.multi_spouses
-        inter_rel, inter_ok = INTER_EMPTY, inter <= leakage
+        leakage = (partners & (pa | children)) | multi_spouses
+        inter_rel, inter_ok = INTER_EMPTY, not inter & ~leakage
     elif c.children_untouched:
         inter_rel, inter_ok = INTER_EQUALS_CH_SP, inter == ch_sp
     else:
-        inter_rel, inter_ok = INTER_SUBSET_CH_SP, inter <= ch_sp
+        inter_rel, inter_ok = INTER_SUBSET_CH_SP, not inter & ~ch_sp
 
+    named = dag._names
     return VerificationReport(
         target=target,
         classification=c,
         union_relation=union_rel,
         intersection_relation=inter_rel,
-        mb=mb,
-        parents=pa,
-        children_and_spouses=ch_sp,
-        mb_per_dataset=mbs,
-        union_actual=union,
-        intersection_actual=inter,
+        mb=named(mb),
+        parents=named(pa),
+        children_and_spouses=named(ch_sp),
+        mb_per_dataset=tuple(map(named, mbs)),
+        union_actual=named(union),
+        intersection_actual=named(inter),
         union_ok=union_ok,
         intersection_ok=inter_ok,
     )

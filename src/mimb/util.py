@@ -55,3 +55,14 @@ def union_and_intersection(
     if not sets:
         return frozenset(), frozenset()
     return frozenset().union(*sets), sets[0].intersection(*sets[1:])
+
+
+def mask_union_and_intersection(masks: Sequence[int]) -> tuple[int, int]:
+    """The union (OR) and the intersection (AND) of index bitmasks; both
+    are 0 when there are none."""
+    union = 0
+    inter = masks[0] if masks else 0
+    for m in masks:
+        union |= m
+        inter &= m
+    return union, inter

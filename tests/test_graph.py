@@ -70,6 +70,22 @@ class TestConstruction:
         assert a == b and hash(a) == hash(b)
         assert a != Dag(["A", "B"])
 
+    @given(st.integers(1, 14), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_random_dag_is_the_checked_construction(self, n_nodes, edge_prob, seed):
+        # random_dag skips the checks; the graph it builds from masks must
+        # be the one the public constructor builds from its edges
+        dag = random_dag(n_nodes, edge_prob, seed)
+        checked = Dag([f"X{i}" for i in range(n_nodes)], sorted(dag.edges))
+        _assert_same_graph(dag, checked)
+
+
+def _assert_same_graph(dag: Dag, checked: Dag) -> None:
+    assert dag == checked and hash(dag) == hash(checked)
+    assert dag.topological_order() == checked.topological_order()
+    for v in checked.variables:
+        assert dag.parents(v) == checked.parents(v)
+        assert dag.children(v) == checked.children(v)
+
 
 class TestAccessors:
     def test_fig2_neighbourhood(self, fig2_dag):
@@ -155,6 +171,22 @@ class TestIntervention:
                     assert post.parents(v) == frozenset()
                 else:
                     assert post.parents(v) == dag.parents(v)
+
+    def test_matches_the_checked_rebuild_on_alarm(self, alarm):
+        # the surgery copy from masks against the public constructor on the
+        # surviving edges, sorted by index as the copy used to be built
+        dag = alarm.dag
+        rng = np.random.default_rng(4)
+        target_sets = [{v} for v in dag.variables] + [
+            set(rng.choice(dag.variables, size=int(rng.integers(2, 12)), replace=False).tolist())
+            for _ in range(100)
+        ]
+        for targets in target_sets:
+            kept = sorted(
+                (e for e in dag.edges if e[1] not in targets),
+                key=lambda e: (dag.index(e[0]), dag.index(e[1])),
+            )
+            _assert_same_graph(dag.apply_intervention(targets), Dag(dag.variables, kept))
 
 
 class TestConservativity:

@@ -14,6 +14,8 @@ from mimb import (
     random_dag,
 )
 
+import reference
+
 
 def _regime_conservative(family, target):
     """The reference for the one conservativity rule: the family itself,
@@ -83,6 +85,54 @@ def test_random_cpts_matches_the_declaration_order_construction(cardinality, see
     for v in dag.variables:
         assert np.array_equal(new.cpts[v], old.cpts[v])
     assert fast.random() == slow.random()
+
+
+def _assert_same_family_and_stream(dag, target, n, regime, seed, **kwargs):
+    """The sampler and its name-set reference return the same family, or
+    the same error, and leave their generators in the same state."""
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    outcomes = []
+    for sampler, rng in (
+        (generate_intervention_family, fast),
+        (reference.generate_intervention_family, slow),
+    ):
+        try:
+            outcomes.append(sampler(dag, target, n, regime, seed=rng, **kwargs))
+        except ConstraintError as exc:
+            outcomes.append(f"ConstraintError: {exc}")
+    assert outcomes[0] == outcomes[1], (target, n, regime, seed, kwargs)
+    assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("regime", ["zeta_zero", "zeta_mid", "zeta_all"])
+@pytest.mark.parametrize("conservative", [True, False])
+@pytest.mark.parametrize("covered", [True, False])
+def test_family_sampler_matches_the_name_set_reference_on_alarm(alarm, regime, conservative, covered):
+    # ALARM's names are in no order related to their indices, so the
+    # repairs must follow name order to draw as the reference does
+    for target in alarm.dag.variables:
+        for seed in range(4):
+            _assert_same_family_and_stream(
+                alarm.dag, target, 1 + seed, regime, seed,
+                require_conservative=conservative, require_children_covered=covered,
+            )
+
+
+@pytest.mark.parametrize("n_nodes", [11, 12, 13, 14])
+def test_family_sampler_matches_the_name_set_reference_on_random_graphs(n_nodes):
+    # X10..X13 sort between X1 and X2; one manipulated variable per
+    # experiment or all of them, so that many draws need the repair
+    for seed in range(6):
+        dag = random_dag(n_nodes, 0.3, seed=seed)
+        for target in dag.variables:
+            for regime in ("zeta_zero", "zeta_mid", "zeta_all"):
+                for max_t in (None, 1, n_nodes):
+                    _assert_same_family_and_stream(
+                        dag, target, 2 + seed % 3, regime, seed,
+                        require_conservative=seed % 2 == 0,
+                        require_children_covered=seed % 4 < 2,
+                        max_targets_per_set=max_t,
+                    )
 
 
 class TestRandomDag:
