@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ _MAX_BATCH = 64
 # OracleBackend sweeps the misses of a separator search in batches of up to
 # this many lanes, read ahead from up to this many subsets (see
 # OracleBackend._sweep_ahead); a lane table holds one int of this many bits
-# per node. A memo entry keeps its lane in 8 bits, so at most 256.
+# per node until _lane_masks turns it into one node mask per lane.
 _LANES = 256
 
 
@@ -370,8 +371,9 @@ class SeparatorSearch:
 
     Iterated, the search yields ``(names, datasets)`` pairs in that order,
     ``datasets`` ascending, as :func:`first_separation` reads any
-    candidates. :meth:`masked_subsets` gives the same subsets in index
-    space, for a backend that need not look up names per subset.
+    candidates. :meth:`levels` gives the same subsets in index space, one
+    flat list per size, for a backend that need not look up names per
+    subset; :meth:`names_of` recovers a subset's names.
     """
 
     __slots__ = ("pool", "max_size", "containing", "x_mask", "masks")
@@ -399,24 +401,38 @@ class SeparatorSearch:
             # iter_subsets checks where the member stands before it yields
             next(iter_subsets(self.pool, 0, containing), None)
 
-    def masked_subsets(self, bits: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """Each subset in search order as ``(positions, zmask, dataset
-        mask)``: the pool positions of its members, the OR of ``bits`` (one
-        per pool member) over them, and the dataset mask as the class
-        describes it."""
-        masks, x_mask = self.masks, self.x_mask
-        m = len(masks)
-        last = None if self.containing is None else m - 1
-        for subset in iter_subsets(range(m), self.max_size, last):
-            z, d = 0, x_mask
-            for i in subset:
-                z |= bits[i]
-                d &= masks[i]
-            yield subset, z, d
+    def levels(self, bits: Sequence[int]) -> Iterator[list[tuple[int, int, int]]]:
+        """The subsets in search order, one list per size, smallest first.
 
-    def names(self, subset: tuple[int, ...]) -> tuple[str, ...]:
-        """The member names of a subset given by its pool positions."""
-        return tuple(map(self.pool.__getitem__, subset))
+        A subset is ``(zmask, dataset mask, last)``: the OR of ``bits``
+        (one distinct bit per pool member) over its members, the dataset
+        mask as the class describes it, and the pool position of its last
+        member that is not ``containing``, -1 if none. Each size is built
+        from the one before by extending every subset with each position
+        after its ``last``, which keeps the order of
+        :func:`~mimb.util.iter_subsets`; ``containing`` is in every subset
+        from the start. A size is built only when the one before has been
+        read."""
+        cols = list(zip(range(len(bits)), bits, self.masks))
+        if self.containing is None:
+            level, sizes = [(0, self.x_mask, -1)], self.max_size
+        else:
+            _, bit, mask = cols.pop()
+            level, sizes = [(bit, self.x_mask & mask, -1)], self.max_size - 1
+            if sizes < 0:
+                return
+            yield level
+        after = [cols[i:] for i in range(len(cols) + 1)]  # after[j]: positions j, j + 1, ...
+        for _ in range(sizes):
+            level = [(z | b, d & mask, j) for z, d, last in level for j, b, mask in after[last + 1]]
+            if not level:
+                return
+            yield level
+
+    def names_of(self, zmask: int, bits: Sequence[int]) -> tuple[str, ...]:
+        """The member names, in pool order, of the subset whose zmask is
+        ``zmask`` under the member bits ``bits``."""
+        return tuple(v for v, b in zip(self.pool, bits) if zmask & b)
 
     def __iter__(self) -> Iterator[tuple[tuple[str, ...], tuple[int, ...]]]:
         mask_of = dict(zip(self.pool, self.masks))
@@ -639,6 +655,36 @@ _SEPARATED = CiResult(statistic=0.0, dof=0, p_value=1.0, independent=True, relia
 _CONNECTED = CiResult(statistic=math.inf, dof=0, p_value=0.0, independent=False, reliable=True)
 
 
+def _lane_masks(table: list[int], n_lanes: int) -> list[int]:
+    """A lane table turned around: per lane j, the mask of the nodes v
+    whose ``table[v]`` has bit j set (``table`` holds one lane mask per
+    node, each below ``1 << n_lanes``).
+
+    The table is unpacked into one bit matrix, turned, padded to whole
+    64-node words and packed again; a lane's mask is its words joined, so
+    any node count works."""
+    n = len(table)
+    width = (n_lanes + 7) // 8
+    raw = np.frombuffer(b"".join(t.to_bytes(width, "little") for t in table), np.uint8)
+    bits = np.unpackbits(raw.reshape(n, width), axis=1, count=n_lanes, bitorder="little")
+    n_words = -(-n // 64)
+    turned = np.zeros((n_lanes, 64 * n_words), np.uint8)
+    turned[:, :n] = bits.T
+    words = np.packbits(turned, axis=1, bitorder="little").view("<u8")
+    masks = words[:, 0].tolist()
+    for w in range(1, n_words):
+        masks = [m | high << 64 * w for m, high in zip(masks, words[:, w].tolist())]
+    return masks
+
+
+class _Bits(dict):
+    """The set bits of each int key, ascending, computed on first use."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = self[mask] = tuple(iter_bits(mask))
+        return bits
+
+
 class OracleBackend:
     """Ideal tests answered by d-separation on post-intervention graphs.
 
@@ -648,16 +694,14 @@ class OracleBackend:
 
     One Bayes-ball sweep from y answers every x for the same (y, z,
     dataset), and the discovery algorithms ask about one target y at a
-    time while x varies. So the sweeps for the current y are memoised, one
-    row per z holding what each dataset's sweep reached, and the memo is
-    dropped when a query names another y. An entry is either the node mask
-    of one sweep (:meth:`Dag._connected_mask`), a positive int, or a lane of
-    a lane sweep (:meth:`Dag._lane_sweep`): ``~(t << 8 | lane)``, lane
-    ``lane`` of ``_tables[t]``, which holds per node the lanes that reached
-    it. The tables are dropped with the memo; 0 marks a dataset not swept
-    yet. Every query is validated first and counted like
-    :class:`DataBackend`'s: ``ledger.hits`` counts those answered from the
-    memo, and a query that raises is not counted.
+    time while x varies. So the sweeps for the current y are memoised and
+    the memo is dropped when a query names another y. The memo keeps one
+    row per z, two ints ``[swept, reach]``: bit k of ``swept`` is set once
+    dataset k's sweep has been walked, and ``reach`` holds that sweep's
+    node mask (:meth:`Dag._connected_mask`) at bits ``k * N`` to
+    ``k * N + N - 1``, N being the node count. Every query is validated
+    first and counted like :class:`DataBackend`'s: ``ledger.hits`` counts
+    those answered from the memo, and a query that raises is not counted.
     """
 
     def __init__(self, dag: Dag, family: InterventionFamily):
@@ -669,7 +713,7 @@ class OracleBackend:
         self.ledger = TestLedger(len(self.post_dags))
         self._memo_y = -1
         self._memo: dict[int, list[int]] = {}
-        self._tables: list[list[int]] = []
+        self._datasets = _Bits()  # dataset mask -> its datasets, ascending
         # each manipulated node with the experiments that manipulate it
         manipulated: dict[int, list[int]] = {}
         for k, targets in enumerate(family.sets):
@@ -709,7 +753,7 @@ class OracleBackend:
                 return self._walk(*resolved, candidates)
         post_dags = self.post_dags
         counts, hits = self.ledger.counts, self.ledger.hits
-        n = len(post_dags)
+        n, n_nodes = len(post_dags), len(self.variables)
         for z, datasets in candidates:
             row = None
             for k in datasets:
@@ -720,19 +764,14 @@ class OracleBackend:
                     memo = self._memo_of(yi)
                     row = memo.get(zmask)
                     if row is None:
-                        row = memo[zmask] = [0] * n
-                reached = row[k]
-                if reached:
+                        row = memo[zmask] = [0, 0]
+                if row[0] >> k & 1:
                     hits[k] += 1
                 else:
-                    reached = row[k] = post_dags[k]._connected_mask(yi, zmask)
+                    row[1] |= post_dags[k]._connected_mask(yi, zmask) << k * n_nodes
+                    row[0] |= 1 << k
                 counts[k] += 1
-                if reached > 0:
-                    connected = reached >> xi & 1
-                else:
-                    lane = ~reached
-                    connected = self._tables[lane >> 8][xi] >> (lane & 255) & 1
-                if not connected:
+                if not row[1] >> k * n_nodes + xi & 1:
                     return z, k
         return None
 
@@ -740,7 +779,6 @@ class OracleBackend:
         """The memo, emptied first if it holds the sweeps of another y."""
         if yi != self._memo_y:
             self._memo.clear()
-            self._tables.clear()
             self._memo_y = yi
         return self._memo
 
@@ -759,58 +797,88 @@ class OracleBackend:
 
     def _walk(self, xi: int, yi: int, bits: list[int], search: SeparatorSearch):
         """The query loop of :meth:`first_separation` over a valid search,
-        in index space: each subset comes as its zmask and dataset mask,
-        and the names are looked up only for the subset that separates.
+        in index space: each subset comes as its zmask and dataset mask
+        from :meth:`SeparatorSearch.levels`, and the names are recovered
+        only for the subset that separates.
 
-        A memo miss is swept together with the next misses of the search,
-        read ahead, as the lanes of one :meth:`Dag._lane_sweep` (see
+        A subset whose datasets are all swept in its memo row is decided
+        at once: ``sel`` holds bit ``k * N + xi`` of each of its datasets
+        k, and the lowest bit of ``sel & ~reach`` is the first dataset
+        that separates, if any. Its queries are tallied per dataset mask,
+        up to that dataset, and the tally goes into the ledger when the
+        search ends. Any other subset is walked dataset by dataset; a memo
+        miss is swept together with the next misses of the search, read
+        ahead, as the lanes of one :meth:`Dag._lane_sweep` (see
         :meth:`_sweep_ahead`). Only walked queries are counted and
         memoised, and lanes read past the separation are dropped, so the
         answer, the ledger and the memo are those of the query loop.
         """
-        n = len(self.post_dags)
+        n, n_nodes = len(self.post_dags), len(self.variables)
         counts, hits = self.ledger.counts, self.ledger.hits
-        subsets = search.masked_subsets(bits)
-        ahead: deque = deque()  # subsets read ahead, not walked yet
-        computed: dict = {}  # zmask * n + k -> the entry swept ahead
-        indices: dict[int, tuple[int, ...]] = {}  # dataset mask -> its bits
-        memo = None  # taken at the search's first query
-        while True:
-            item = ahead.popleft() if ahead else next(subsets, None)
-            if item is None:
-                return None
-            subset, zmask, dmask = item
-            if not dmask:
-                continue
-            if memo is None:
-                memo, tables = self._memo_of(yi), self._tables
-            row = memo.get(zmask)
-            if row is None:
-                row = memo[zmask] = [0] * n
-            datasets = indices.get(dmask)
-            if datasets is None:
-                datasets = indices[dmask] = tuple(iter_bits(dmask))
-            for k in datasets:
-                reached = row[k]
-                if reached:
-                    hits[k] += 1
+        datasets_of = self._datasets
+        subsets = chain.from_iterable(search.levels(bits))
+        for item in subsets:
+            if item[1]:
+                break
+        else:
+            return None  # no query, so the memo is kept even for another y
+        memo = self._memo_of(yi)
+        computed: dict = {}  # zmask * n + k -> the node mask swept ahead
+        # dataset mask -> [bit k * N + xi per dataset k, subsets decided at once]
+        tally: dict[int, list[int]] = {}
+        walk = iter([item])  # the subsets to walk next, read-ahead ones first
+        try:
+            while True:
+                ahead = None  # once a sweep reads ahead: what to walk after this subset
+                for zmask, dmask, _ in walk:
+                    row = memo.get(zmask)
+                    if row is not None and row[0] & dmask == dmask:
+                        entry = tally.get(dmask)
+                        if entry is None:
+                            sel = sum(1 << k * n_nodes + xi for k in datasets_of[dmask])
+                            entry = tally[dmask] = [sel, 0]
+                        sel = entry[0]
+                        if row[1] & sel == sel:
+                            entry[1] += 1
+                            continue
+                        cut = sel & ~row[1]
+                        k = ((cut & -cut).bit_length() - 1) // n_nodes
+                        tally.setdefault(dmask & (2 << k) - 1, [0, 0])[1] += 1
+                        return search.names_of(zmask, bits), k
+                    if not dmask:
+                        continue
+                    if row is None:
+                        row = memo[zmask] = [0, 0]
+                    for k in datasets_of[dmask]:
+                        if row[0] >> k & 1:
+                            hits[k] += 1
+                        else:
+                            reached = computed.pop(zmask * n + k, None)
+                            if reached is None:
+                                if ahead is None:
+                                    ahead = [] if walk is subsets else list(walk)
+                                first = (zmask, dmask >> k << k, row)
+                                reached = self._sweep_ahead(yi, first, subsets, ahead, computed)
+                            row[1] |= reached << k * n_nodes
+                            row[0] |= 1 << k
+                        counts[k] += 1
+                        if not row[1] >> k * n_nodes + xi & 1:
+                            return search.names_of(zmask, bits), k
+                    if ahead is not None:
+                        walk = iter(ahead)
+                        break
                 else:
-                    reached = computed.pop(zmask * n + k, None)
-                    if reached is None:
-                        first = (zmask, dmask >> k << k, row)
-                        reached = self._sweep_ahead(yi, first, subsets, ahead, computed, indices)
-                    row[k] = reached
-                counts[k] += 1
-                if reached > 0:
-                    connected = reached >> xi & 1
-                else:
-                    lane = ~reached
-                    connected = tables[lane >> 8][xi] >> (lane & 255) & 1
-                if not connected:
-                    return search.names(subset), k
+                    if walk is subsets:
+                        return None
+                    walk = subsets
+        finally:
+            for dmask, (_, times) in tally.items():
+                for k in datasets_of[dmask]:
+                    counts[k] += times
+                    hits[k] += times
 
-    def _sweep_ahead(self, yi, first, subsets, ahead, computed, indices):
-        """The memo entry of a miss, swept as lane 0 of one lane sweep with
+    def _sweep_ahead(self, yi, first, subsets, ahead, computed):
+        """The node mask of a miss, swept as lane 0 of one lane sweep with
         the next misses of the search: up to :data:`_LANES` lanes, from up
         to :data:`_LANES` subsets read ahead, so neither the batch nor what
         is read ahead grows with the search. A batch of one is one
@@ -819,39 +887,40 @@ class OracleBackend:
         ``first`` is ``(zmask, dataset mask, memo row)`` of the miss's
         subset, its mask holding the miss's dataset and those after it.
         Subsets read from ``subsets`` are appended to ``ahead``. A miss is
-        a query whose dataset is neither memoised nor in ``computed``; a
-        repeat is left out. The entries of the other lanes go into
-        ``computed``.
+        a query whose dataset is neither swept in its memo row nor in
+        ``computed``; a repeat is left out. The node masks of the other
+        lanes go into ``computed``.
         """
-        memo, n = self._memo, len(self.post_dags)
+        memo, n, datasets_of = self._memo, len(self.post_dags), self._datasets
         in_dataset = [0] * n  # per dataset, its lanes
         with_z = []  # (zmask, its lanes)
         keys = []  # per lane, its key in computed
         zmask, dmask, row = first
         while True:
-            datasets = indices.get(dmask)
-            if datasets is None:
-                datasets = indices[dmask] = tuple(iter_bits(dmask))
-            group = 0
-            for k in datasets:
-                key = zmask * n + k
-                if (row is None or not row[k]) and key not in computed:
-                    bit = 1 << len(keys)
-                    computed[key] = len(keys)  # the lane, until swept
-                    keys.append(key)
-                    in_dataset[k] |= bit
-                    group |= bit
-                    if len(keys) == _LANES:
-                        break
-            if group:
-                with_z.append((zmask, group))
-            if len(keys) == _LANES or len(ahead) == _LANES:
+            swept = 0 if row is None else row[0]
+            if swept & dmask != dmask:
+                group = 0
+                for k in datasets_of[dmask]:
+                    key = zmask * n + k
+                    if not swept >> k & 1 and key not in computed:
+                        bit = 1 << len(keys)
+                        computed[key] = None  # a lane, until swept
+                        keys.append(key)
+                        in_dataset[k] |= bit
+                        group |= bit
+                        if len(keys) == _LANES:
+                            break
+                if group:
+                    with_z.append((zmask, group))
+                if len(keys) == _LANES:
+                    break
+            if len(ahead) == _LANES:
                 break
             item = next(subsets, None)
             if item is None:
                 break
             ahead.append(item)
-            _, zmask, dmask = item
+            zmask, dmask, _ = item
             row = memo.get(zmask)
 
         if len(keys) == 1:
@@ -869,8 +938,6 @@ class OracleBackend:
         for v, datasets in self._cuts:
             for k in datasets:
                 gates[v] &= ~in_dataset[k]
-        base = len(self._tables) << 8
-        self._tables.append(self.dag._lane_sweep(yi, z_lanes, gates, every))
-        for key in keys:
-            computed[key] = ~(base | computed[key])
+        table = self.dag._lane_sweep(yi, z_lanes, gates, every)
+        computed.update(zip(keys, _lane_masks(table, len(keys))))
         return computed.pop(keys[0])

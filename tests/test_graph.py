@@ -11,6 +11,7 @@ from mimb import (
     is_conservative,
     random_dag,
 )
+from mimb.citest import _lane_masks
 from mimb.util import iter_subsets
 
 from reference import brute_force_d_separated
@@ -301,37 +302,44 @@ class TestSweepAcrossChunks:
         assert hash(dag) == hash(Dag(alarm.dag.variables, alarm.dag.edges))
 
 
-@st.composite
-def _lane_batches(draw):
-    """A random DAG of 1-70 nodes, a random family of experiments over it
-    and 1-300 lanes, each a conditioning set (never holding y) and an
-    experiment, in random order."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_nodes = draw(st.integers(1, 70))
-    dag = random_dag(n_nodes, draw(st.sampled_from([0.03, 0.08, 0.2, 0.4])), rng)
+def _lane_batch(rng, n_nodes, edge_prob, n_sets, n_lanes):
+    """A random DAG of ``n_nodes`` nodes, a random family of ``n_sets``
+    experiments over it, a source yi and ``n_lanes`` lanes, each a
+    conditioning set (never holding y) and an experiment, in random
+    order."""
+    dag = random_dag(n_nodes, edge_prob, rng)
     names = dag.variables
-    n_sets = draw(st.integers(1, 6))
     family = InterventionFamily(
         {v for v in names if rng.random() < 0.15} for _ in range(n_sets)
     )
     yi = int(rng.integers(n_nodes))
     lanes = []
-    for _ in range(draw(st.integers(1, 300))):
+    for _ in range(n_lanes):
         size = int(rng.integers(0, min(5, n_nodes - 1) + 1))
         z = rng.choice([v for v in range(n_nodes) if v != yi], size, replace=False)
         lanes.append((sum(1 << int(v) for v in z), int(rng.integers(n_sets))))
     return dag, family, yi, lanes
 
 
+@st.composite
+def _lane_batches(draw):
+    """A :func:`_lane_batch` of 1-70 nodes, 1-6 experiments and 1-300
+    lanes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_nodes = draw(st.integers(1, 70))
+    edge_prob = draw(st.sampled_from([0.03, 0.08, 0.2, 0.4]))
+    return _lane_batch(rng, n_nodes, edge_prob, draw(st.integers(1, 6)), draw(st.integers(1, 300)))
+
+
 class TestLaneSweep:
     """``Dag._lane_sweep`` carries many (z, experiment) queries as bit
     lanes over the intact graph; each lane must reach what the single
-    sweep reaches on that lane's post-intervention graph."""
+    sweep reaches on that lane's post-intervention graph, both read from
+    the per-node table and from the per-lane node masks that
+    ``citest._lane_masks`` turns it into."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(_lane_batches())
-    def test_each_lane_is_its_experiments_single_sweep(self, batch):
-        dag, family, yi, lanes = batch
+    @staticmethod
+    def _check(dag, family, yi, lanes):
         n_nodes = len(dag.variables)
         every = (1 << len(lanes)) - 1
         z_lanes = [0] * n_nodes
@@ -346,10 +354,24 @@ class TestLaneSweep:
         assert len(table) == n_nodes
         assert table[yi] == every
         assert all(0 <= lanes_of <= every for lanes_of in table)
+        masks = _lane_masks(table, len(lanes))
+        assert len(masks) == len(lanes)
         post_dags = [dag.apply_intervention(s) for s in family]
         for j, (zmask, k) in enumerate(lanes):
             reached = sum(1 << v for v in range(n_nodes) if table[v] >> j & 1)
-            assert reached == post_dags[k]._connected_mask(yi, zmask)
+            assert reached == post_dags[k]._connected_mask(yi, zmask) == masks[j]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_lane_batches())
+    def test_each_lane_is_its_experiments_single_sweep(self, batch):
+        self._check(*batch)
+
+    @pytest.mark.parametrize(
+        "n_nodes, n_lanes", [(9, 1), (37, 256), (64, 256), (65, 7), (70, 1), (140, 256)]
+    )
+    def test_one_lane_every_lane_and_graphs_past_64_nodes(self, n_nodes, n_lanes):
+        rng = np.random.default_rng(n_nodes * 1000 + n_lanes)
+        self._check(*_lane_batch(rng, n_nodes, 0.06, 4, n_lanes))
 
 
 class TestEdgeCharacterisation:

@@ -13,6 +13,7 @@ same errors; on data also for bit-identical memos.
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,22 @@ def test_mimb_on_the_trace_example(size, symmetry):
         assert _digest(result) == PINNED_DIGESTS["T", symmetry]
         if not symmetry:
             assert ledger == PINNED_LEDGERS["T"]
+
+
+def test_the_oracle_memo_of_one_alarm_target_stays_small(alarm):
+    # the traced peak of MIMB for CO on its seed-7 family at max_cond_size
+    # 3 (Python 3.11): 1.16 MB with one memo int per (z, dataset) and the
+    # lane tables kept, 0.81 MB with two ints per z and no tables
+    family = next(f for _, target, f in _alarm_instances(alarm) if target == "CO")
+    backend = OracleBackend(alarm.dag, family)
+    tracemalloc.start()
+    try:
+        result = mimb(backend, "CO", 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_tests == sum(PINNED_LEDGERS["CO"][0])
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("symmetry", [False, True])
@@ -507,13 +524,19 @@ def test_the_search_value_iterates_the_generators_pairs():
         search = SeparatorSearch(pool, max_size, x_mask, [holding[v] for v in pool], containing)
         expected = list(_generator_search(pool, max_size, containing, x_mask, holding))
         assert list(search) == expected
-        # the index-space view of the same subsets
+        # the index-space view of the same subsets, one list per size
         bits = [1 << names.index(v) for v in pool]
-        masked = list(search.masked_subsets(bits))
-        assert [search.names(subset) for subset, _, _ in masked] == [z for z, _ in expected]
-        for (_, zmask, dmask), (z, datasets) in zip(masked, expected):
-            assert zmask == sum(1 << names.index(v) for v in z)
-            assert dmask == sum(1 << k for k in datasets)
+        levels = list(search.levels(bits))
+        for size, level in enumerate(levels, 1):
+            assert {zmask.bit_count() for zmask, _, _ in level} == {size}
+        masked = [subset for level in levels for subset in level]
+        assert [zmask for zmask, _, _ in masked] == [
+            sum(1 << names.index(v) for v in z) for z, _ in expected
+        ]
+        assert [dmask for _, dmask, _ in masked] == [
+            sum(1 << k for k in datasets) for _, datasets in expected
+        ]
+        assert [search.names_of(zmask, bits) for zmask, _, _ in masked] == [z for z, _ in expected]
         shapes.add("empty" if not expected else "no datasets" if x_mask == 0 else "some")
     assert shapes == {"empty", "no datasets", "some"}
 
@@ -561,13 +584,15 @@ def _same_search_value(reference, bulk, x, y, search):
     return answer
 
 
-def _fan_instance(n_noise):
+def _fan_instance(n_noise, fan_last=False):
     """x -> M -> y and x -> z, with ``n_noise`` isolated nodes N0, N1, ...
     and three experiments that manipulate some of them: x and y are
     separated by any set holding M, and by no other; nothing separates x
-    and z."""
+    and z. The noise comes first in the node order if ``fan_last``."""
     noise = [f"N{i}" for i in range(n_noise)]
-    dag = Dag(["x", "M", "y", "z", *noise], [("x", "M"), ("M", "y"), ("x", "z")])
+    fan = ["x", "M", "y", "z"]
+    names = [*noise, *fan] if fan_last else [*fan, *noise]
+    dag = Dag(names, [("x", "M"), ("M", "y"), ("x", "z")])
     family = InterventionFamily([set(), set(noise[:2]), set(noise[1:3])])
     return dag, family, noise
 
@@ -742,3 +767,101 @@ def test_a_search_of_no_query_keeps_the_memo():
     assert _same_search_value(reference, bulk, "x", "z", nothing) is None
     assert _same_search_value(reference, bulk, "x", "y", search) is None
     assert bulk.ledger.hits == [6, 6, 6]
+
+
+# -- subsets decided from the memo at once -----------------------------------------
+
+
+def _cut_instance():
+    """x -> M -> y -> w and isolated N0, N1, N2, in three experiments of
+    which the second manipulates M: there x and y are separated given any
+    z, in the others given any z that holds M; w and y are never
+    separated."""
+    noise = ["N0", "N1", "N2"]
+    dag = Dag(["x", "M", "y", "w", *noise], [("x", "M"), ("M", "y"), ("y", "w")])
+    return dag, InterventionFamily([set(), {"M"}, set()]), noise
+
+
+def _sweeps(monkeypatch):
+    """The lane count of every sweep from now on, 1 for a single sweep,
+    on either backend of a pair."""
+    calls = _lane_counts(monkeypatch)
+    single = Dag._connected_mask
+
+    def counted(dag, yi, zmask):
+        calls.append(1)
+        return single(dag, yi, zmask)
+
+    monkeypatch.setattr(Dag, "_connected_mask", counted)
+    return calls
+
+
+def _memoised_pair(monkeypatch):
+    """A backend pair on the cut instance whose memos hold every subset of
+    the noise of up to 2 members, swept in all three datasets, and a sweep
+    counter started after that."""
+    dag, family, noise = _cut_instance()
+    reference, bulk = _pair(dag, family)
+    everything = SeparatorSearch(noise, 2, 0b111, [0b111] * 3)
+    assert _same_search_value(reference, bulk, "w", "y", everything) is None
+    assert bulk.ledger.counts == [6, 6, 6] and bulk.ledger.hits == [0, 0, 0]
+    return reference, bulk, noise, _sweeps(monkeypatch)
+
+
+def test_a_memoised_subset_that_separates_at_its_second_dataset(monkeypatch):
+    reference, bulk, noise, sweeps = _memoised_pair(monkeypatch)
+    # (N0,) and (N1,) are asked in datasets 0 and 2 and connected in both;
+    # (N2,) is connected in dataset 0 and separates in dataset 1, so its
+    # dataset 2 is never asked
+    search = SeparatorSearch(noise, 2, 0b111, [0b101, 0b101, 0b111])
+    assert _same_search_value(reference, bulk, "x", "y", search) == (("N2",), 1)
+    assert bulk.ledger.counts == [9, 7, 8] and bulk.ledger.hits == [3, 1, 2]
+    assert sweeps == []
+
+
+def test_a_partly_memoised_subset_is_walked_dataset_by_dataset(monkeypatch):
+    dag, family, noise = _cut_instance()
+    reference, bulk = _pair(dag, family)
+    # (N0,) swept in datasets 0 and 2 only
+    first = SeparatorSearch(noise[:1], 1, 0b101, [0b111])
+    assert _same_search_value(reference, bulk, "w", "y", first) is None
+    sweeps = _sweeps(monkeypatch)
+    search = SeparatorSearch(noise, 2, 0b111, [0b111] * 3)
+    # a hit in dataset 0, a miss in dataset 1 that separates, and dataset
+    # 2 never asked; the lanes read ahead past it are dropped
+    assert _same_search_value(reference, bulk, "x", "y", search) == (("N0",), 1)
+    assert bulk.ledger.counts == [2, 1, 1] and bulk.ledger.hits == [1, 0, 0]
+    assert sorted(sweeps) == [1, 16]
+    # now (N0,) is swept in all three and decided at once, and every
+    # other subset is a miss in each of its datasets
+    assert _same_search_value(reference, bulk, "w", "y", search) is None
+    assert bulk.ledger.counts == [8, 7, 7] and bulk.ledger.hits == [2, 1, 1]
+
+
+def test_a_memoised_search_with_no_separation_counts_every_query(monkeypatch):
+    reference, bulk, noise, sweeps = _memoised_pair(monkeypatch)
+    # subsets asked in {0, 1}, {1, 2}, {0, 1, 2}, {1}, {0, 1} and {1, 2}
+    search = SeparatorSearch(noise, 2, 0b111, [0b011, 0b110, 0b111])
+    assert _same_search_value(reference, bulk, "w", "y", search) is None
+    assert bulk.ledger.counts == [9, 12, 9] and bulk.ledger.hits == [3, 6, 3]
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("n_noise", [60, 70])
+def test_memo_rows_of_graphs_of_64_nodes_and_more(n_noise, monkeypatch):
+    # with the noise first, the fan's nodes are the last four: up to node
+    # 63 of a 64-node graph, or past node 64 of a 74-node one
+    dag, family, noise = _fan_instance(n_noise, fan_last=True)
+    reference, bulk = _pair(dag, family)
+    lanes = _lane_counts(monkeypatch)
+    holding = [(0b111, 0b101, 0b011, 0b110)[i % 4] for i in range(n_noise)]
+    singletons = SeparatorSearch([*noise, "M"], 1, 0b111, [*holding, 0b111])
+    pairs = SeparatorSearch(noise, 2, 0b111, holding)
+    # each search swept as lanes first, then answered from the memo
+    for _ in range(2):
+        assert _same_search_value(reference, bulk, "x", "y", singletons) == (("M",), 0)
+    for _ in range(2):
+        assert _same_search_value(reference, bulk, "x", "z", pairs) is None
+    assert max(lanes) == citest._LANES
+    # the second run of each search is all hits
+    assert 2 * sum(bulk.ledger.hits) == bulk.ledger.total
